@@ -197,6 +197,9 @@ class ExactScalar:
         return self._terms == other._terms
 
     def __hash__(self):
+        # grade-0 values compare equal to their rational, so hash like it
+        if self.is_rational:
+            return hash(self.as_fraction())
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
@@ -481,15 +484,6 @@ class Polynomial:
             new[i] = exps[i] + power
             terms[tuple(new)] = c
         return Polynomial(self.variables, terms)
-
-    def divide_exact_power(self, name: str, power: int) -> "Polynomial":
-        """Divide by name**power, requiring every term to be divisible."""
-        i = self.variables.index(name)
-        if any(e[i] < power for e in self._terms):
-            raise ExactnessError(
-                f"polynomial is not divisible by {name}**{power}"
-            )
-        return self.times_power(name, -power)
 
     def evaluate(self, values: Mapping[str, object]):
         """Evaluate at the given variable values.

@@ -11,11 +11,12 @@ J, I, K are derived views.  Small arguments use the power series, large
 arguments standard asymptotic evaluation; the crossover sits at
 |argument| = 2*|order| + 20 so both branches stay well conditioned.
 
-For orders constructed from rationals the series branch accumulates exact
+For integer and half-integer orders the series branch accumulates exact
 rationals (the Gamma factors are exact rational-sqrtpi values), so its
-result is correctly rounded.  For other orders the series is summed in
-floating point; setting MINREP_PRECISION=extended switches the term
-recurrence to error-compensated double-word arithmetic.
+result is correctly rounded.  For other orders, rational ones such as
+3/10 included, the series is summed in floating point; setting
+MINREP_PRECISION=extended switches the term recurrence to
+error-compensated double-word arithmetic.
 
 Half-integer K-Bessel orders have exact closed forms
 
@@ -26,7 +27,10 @@ with P_ell an integer-coefficient Laurent polynomial (P_{-1} = 1/2);
 
 The module also houses complex-argument evaluators (itilde_complex,
 ktilde_complex) needed by the Cauchy coefficient extraction in specfun.
-They are internal machinery: the public API is real-argument only.
+They are thin array wrappers over scipy's ive and kve, the Amos routines
+for Bessel functions of complex argument (D. E. Amos, ACM TOMS 12 (1986),
+Algorithm 644).  They are internal machinery: the public API is
+real-argument only.
 """
 
 from __future__ import annotations
@@ -175,7 +179,8 @@ def _series_float(nu: float, t: float, alternating: bool) -> float:
 
 
 def _series_value(order: BesselOrder, t: float, alternating: bool) -> float:
-    if order.exact is not None:
+    # Gamma is an exact rational-sqrtpi value only at integers and half-integers
+    if order.is_integer or order.is_half_integer:
         return _series_rational(order.exact, t, alternating)
     return _series_float(order.value, t, alternating)
 
@@ -313,21 +318,18 @@ def _ktilde_series(alpha: float, z: float) -> float:
 
 
 def itilde_complex(alpha: float, z):
-    """It_alpha at complex argument(s); plain vectorized series.
+    """It_alpha at complex argument(s) by the Amos routine behind scipy's ive.
 
-    The series is even in z with positive coefficients, so cancellation is
-    bounded by e^{|z| - |Re z|}; callers keep |z| moderate (<= ~80).
+    It is even in z, so z is folded into Re z >= 0 first; there the
+    principal branches of (z/2)^(-alpha) and I_alpha(z) agree and their
+    product is the entire function.  The value at z = 0 is 1/Gamma(alpha+1).
     """
     z = np.asarray(z, dtype=complex)
-    q = z * z / 4.0
-    term = np.full(z.shape, 1.0 / math.gamma(alpha + 1.0), dtype=complex)
-    acc = term.copy()
-    for k in range(1, 600):
-        term = term * q / (k * (alpha + k))
-        acc += term
-        if np.max(np.abs(term)) <= 1e-20 * max(np.max(np.abs(acc)), 1e-300):
-            return acc
-    raise ArithmeticError("itilde_complex series did not converge; |z| too large")
+    z = np.where(z.real < 0, -z, z)
+    zero = z == 0
+    zs = np.where(zero, 1.0, z)
+    out = sps.ive(alpha, zs) * np.exp(zs.real) * (zs / 2.0) ** (-alpha)
+    return np.where(zero, 1.0 / math.gamma(alpha + 1.0), out)
 
 
 def _ktilde_half_complex(ell: int, z):
@@ -337,54 +339,17 @@ def _ktilde_half_complex(ell: int, z):
     return SQRT_PI * np.exp(-z) * acc
 
 
-_GL_CACHE: dict = {}
-
-
-def _leggauss(n: int):
-    got = _GL_CACHE.get(n)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = got
-    return got
-
-
 def ktilde_complex(order: float, z):
     """Kt_order at complex argument(s) with Re z > 0.
 
-    Half-integer orders use the exact closed form.  Otherwise K_nu(z) =
-    int_0^infty exp(-z cosh s) cosh(nu s) ds is integrated by composite
-    Gauss-Legendre after factoring out e^{-z}; in the sector
-    |Im z| <= 0.6 Re z reached by the Cauchy circles the phase
-    Im z (cosh s - 1) stays within a few cycles, so a fixed node schedule
-    converges superalgebraically.
+    Half-integer orders use the exact closed form; other orders the Amos
+    routine behind scipy's kve, K_nu(z) = kve(nu, z) e^{-z}.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     if np.any(z.real <= 0):
         raise ValueError("ktilde_complex needs Re z > 0")
     o = BesselOrder.coerce(float(order)) if not isinstance(order, BesselOrder) else order
     if o.is_half_integer and o.ell >= -1:
-        out = _ktilde_half_complex(o.ell, z)
-        return out[0] if scalar else out
-
+        return _ktilde_half_complex(o.ell, z)
     nu = o.value
-    a_min = float(np.min(z.real))
-    a_max = float(np.max(z.real))
-    # range: e^{-a_min (cosh S - 1)} cosh(nu S) below 1e-20 of the scale
-    margin = 48.0 + 8.0 * abs(nu)
-    S = math.acosh(1.0 + margin / a_min)
-    panels = max(8, math.ceil(S * max(1.0, math.sqrt(a_max) / 6.0)))
-    nodes, weights = _leggauss(32)
-    total = np.zeros(z.shape, dtype=complex)
-    width = S / panels
-    for p in range(panels):
-        mid = (p + 0.5) * width
-        s = mid + 0.5 * width * nodes
-        w = 0.5 * width * weights
-        # integrand scaled by e^{z}: exp(-z (cosh s - 1)) cosh(nu s)
-        c = np.cosh(s) - 1.0
-        f = np.exp(-np.outer(z, c)) * np.cosh(nu * s)[None, :]
-        total += f @ w
-    out = total * np.exp(-z) * (z / 2.0) ** (-nu)
-    return out[0] if scalar else out
+    return sps.kve(nu, z) * np.exp(-z) * (z / 2.0) ** (-nu)

@@ -68,13 +68,23 @@ def apply_Rmuell(mu, ell, f: Polynomial) -> Polynomial:
 def apply_P(mu, ell, f: Polynomial) -> Polynomial:
     """(1/x^2) R_{mu,ell} R_{0,ell} f, with exact division by x^2.
 
-    Non-divisibility raises ExactnessError; it cannot occur when f is a
-    Mano polynomial M_j^{mu,ell}.
+    The image may not reach below the lowest exponent of f (or below x^0
+    for a polynomial f): a polynomial f must give R R f in x^2 Q[x], a
+    Laurent f = c x^{-1} + ... must give R R f without an x^0 or x^{-1}
+    term.  A violation raises ExactnessError; it cannot occur when f is a
+    Mano polynomial M_j^{mu,ell}, including the Laurent M_j^{mu,-1}.
     """
     g = apply_Rmuell(mu, ell, apply_Rmuell(0, ell, f))
     if g.is_zero:
         return g
-    return g.divide_exact_power(f.variables[0], 2)
+    name = f.variables[0]
+    low = g.min_degree_in(name)
+    if low < min(f.min_degree_in(name), 0) + 2:
+        raise ExactnessError(
+            f"R R f has an {name}^{low} term: not divisible by {name}**2 "
+            f"within the exponent range of f"
+        )
+    return g.times_power(name, -2)
 
 
 def coordinate_mult(a: int, f: Polynomial) -> Polynomial:

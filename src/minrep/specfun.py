@@ -33,7 +33,6 @@ when nu is an odd integer.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,7 +251,9 @@ def genfun_coeff(evaluator, j: int, rho: float = 0.5, n_nodes: int = 256) -> flo
     """Trapezoidal Cauchy approximation to the j-th Taylor coefficient.
 
     (1/N) sum_k evaluator(rho e^{2 pi i k/N}) rho^{-j} e^{-2 pi i j k/N},
-    summed in fixed node order with exact (fsum) accumulation.
+    summed in fixed node order with exact (fsum) accumulation.  The
+    evaluator receives all N circle points as one complex array and
+    returns the values as an array of the same shape.
     """
     if not (0 < rho < 1):
         raise ValueError(f"Cauchy radius must satisfy 0 < rho < 1, got {rho}")
@@ -260,13 +261,11 @@ def genfun_coeff(evaluator, j: int, rho: float = 0.5, n_nodes: int = 256) -> flo
         raise ValueError(f"node count must be a power of 2, got {n_nodes}")
     if j < 0:
         raise ValueError("coefficient index must be >= 0")
-    re_parts = []
-    for k in range(n_nodes):
-        tk = rho * cmath.exp(2j * math.pi * k / n_nodes)
-        w = cmath.exp(-2j * math.pi * j * k / n_nodes)
-        val = complex(evaluator(tk)) * w
-        re_parts.append(val.real)
-    return math.fsum(re_parts) / n_nodes * rho ** (-j)
+    k = np.arange(n_nodes)
+    ts = rho * np.exp(2j * np.pi * k / n_nodes)
+    w = np.exp(-2j * np.pi * ((j * k) % n_nodes) / n_nodes)
+    vals = np.broadcast_to(evaluator(ts), ts.shape) * w
+    return math.fsum(vals.real.tolist()) / n_nodes * rho ** (-j)
 
 
 def _cauchy_coefficient(evaluator, j, rho=0.5, tol=1e-11, start=256, max_nodes=8192):
@@ -283,17 +282,16 @@ def _cauchy_coefficient(evaluator, j, rho=0.5, tol=1e-11, start=256, max_nodes=8
 
 
 def _mano_generating(mu: float, ell: float, x: float):
-    """Evaluator t -> G^{mu,ell}(t, x) on complex |t| < 1."""
-    def ev(t: complex) -> complex:
+    """Evaluator t -> G^{mu,ell}(t, x) on complex arrays t, |t| < 1."""
+    pref = (x / 2.0) ** (2.0 * ell + 1.0) * math.exp(x / 2.0)
+
+    def ev(t):
         om = 1.0 - t
-        u = t * x / (2.0 * om)
-        v = x / (2.0 * om)
-        pref = (x / 2.0) ** (2.0 * ell + 1.0) * math.exp(x / 2.0)
         return (
             pref
             * om ** (-(ell + (mu + 3.0) / 2.0))
-            * complex(itilde_complex(mu / 2.0, u))
-            * complex(ktilde_complex(ell + 0.5, v))
+            * itilde_complex(mu / 2.0, t * x / (2.0 * om))
+            * ktilde_complex(ell + 0.5, x / (2.0 * om))
         )
 
     return ev
@@ -338,12 +336,13 @@ def _lambda_prefactor(mu, j: int) -> float:
 
 
 def _lambda_generating(mu: float, nu: float, x: float):
-    def ev(t: complex) -> complex:
+    """Evaluator t -> sum_j t^j Lam_j^{mu,nu}(x) on complex arrays t, |t| < 1."""
+    def ev(t):
         om = 1.0 - t
         return (
             om ** (-(mu + nu + 2.0) / 2.0)
-            * complex(itilde_complex(mu / 2.0, t * x / om))
-            * complex(ktilde_complex(nu / 2.0, x / om))
+            * itilde_complex(mu / 2.0, t * x / om)
+            * ktilde_complex(nu / 2.0, x / om)
         )
 
     return ev
@@ -386,30 +385,27 @@ def _lambda_generating_table(mu: float, nu: float, xs: np.ndarray, ts: np.ndarra
     om = 1.0 - ts
     arg_i = np.outer(xs, ts / om)
     arg_k = np.outer(xs, 1.0 / om)
-    shape = arg_i.shape
-    vals_i = itilde_complex(mu / 2.0, arg_i.ravel()).reshape(shape)
-    # chunked so the quadrature panels inside ktilde_complex stay small
-    flat_k = arg_k.ravel()
-    vals_k = np.empty(flat_k.shape, dtype=complex)
-    step = 16384
-    for i in range(0, len(flat_k), step):
-        vals_k[i : i + step] = ktilde_complex(nu / 2.0, flat_k[i : i + step])
-    vals_k = vals_k.reshape(shape)
-    return om[None, :] ** (-(mu + nu + 2.0) / 2.0) * vals_i * vals_k
+    return (
+        om[None, :] ** (-(mu + nu + 2.0) / 2.0)
+        * itilde_complex(mu / 2.0, arg_i)
+        * ktilde_complex(nu / 2.0, arg_k)
+    )
 
 
 def _nodes_for(xmax: float, jmax: int, rho: float) -> int:
-    """Circle nodes so the Taylor-tail aliasing (rho 2 x)^N / N! is negligible.
+    """Circle nodes so the Taylor-tail aliasing is negligible.
 
     The Lambda coefficients in t grow at most like (2x)^i / i!, so trapezoid
-    aliasing after N nodes is bounded by (2 rho x)^N / N!.
+    aliasing after N nodes is bounded by (2 rho x)^N / N!.  The generating
+    function is also singular at t = 1, where its coefficients stop
+    decaying, so the aliasing factor rho^N itself must be below 1e-17.
     """
     n = 1 << max(6, (4 * (jmax + 1) - 1).bit_length())
     c = 2.0 * rho * xmax
     while n < 8192:
         # log of the first aliased coefficient, Stirling form
         log_tail = n * math.log(max(c, 1e-9)) - (n * math.log(n) - n)
-        if log_tail < -60.0:
+        if log_tail < -60.0 and n * math.log(rho) <= math.log(1e-17):
             return n
         n *= 2
     return n
@@ -420,7 +416,7 @@ def lambda_table(
     nu,
     jmax: int,
     xs,
-    rho: float = 0.5,
+    rho: float | None = None,
     refine: bool = False,
     tol: float = 1e-11,
 ) -> np.ndarray:
@@ -431,10 +427,21 @@ def lambda_table(
     The grid is processed in magnitude bins so the node count can follow
     the aliasing bound; refine=True doubles nodes until two successive
     tables agree to tol, as an independent consistency pass.
+
+    The default radius is rho = max(0.5, 1 - 8/jmax).  The generating
+    function is singular at t = 1, and for such functions the radius that
+    keeps the rounding error of the j-th Cauchy coefficient small tends to
+    1 as j grows (Bornemann, Found. Comput. Math. 11 (2011)); a fixed
+    rho = 0.5 loses about j log10(2) digits.  The default is capped at
+    700/(700 + max x), which keeps the It factor, of size up to
+    e^{rho x/(1-rho)}, inside the double range.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0):
         raise ValueError("lambda_table needs x > 0")
+    if rho is None:
+        xmax = float(np.max(xs, initial=0.0))
+        rho = min(max(0.5, 1.0 - 8.0 / max(jmax, 1)), 700.0 / (700.0 + xmax))
     mu_f, nu_f = float(mu), float(nu)
 
     def table_chunk(xs_chunk: np.ndarray, n: int) -> np.ndarray:

@@ -56,6 +56,14 @@ def test_exact_scalar_division_by_monomial():
         a / (b + ExactScalar(1))
 
 
+def test_exact_scalar_grade_zero_hashes_like_its_rational():
+    assert len({ExactScalar(3), 3}) == 1
+    for q in (0, 3, -7, Fraction(1, 3), Fraction(-22, 7)):
+        assert ExactScalar(q) == q
+        assert hash(ExactScalar(q)) == hash(q)
+    assert len({ExactScalar(Fraction(1, 2)), Fraction(1, 2), ExactScalar(1, 1)}) == 2
+
+
 def test_exact_scalar_string_roundtrip():
     v = ExactScalar(Fraction(1, 2)) + ExactScalar(Fraction(-3, 4), 1)
     assert ExactScalar.from_string(str(v)) == v

@@ -62,6 +62,17 @@ def test_jtilde_against_library_on_grid():
             assert jtilde(lam, t) == pytest.approx(ref, rel=1e-12)
 
 
+def test_rational_order_off_the_half_integers():
+    # 3/10 has no exact Gamma value: the float series, then the library
+    a = Fraction(3, 10)
+    for t in (0.5, 2.0, 5.0, 8.0, 25.0, 40.0):
+        ref = float(sps.jv(0.3, t)) * (t / 2.0) ** -0.3
+        assert jtilde(a, t) == pytest.approx(ref, rel=1e-12)
+    for z in (0.5, 2.0, 5.0, 12.0, 20.0, 30.0):
+        ref = float(sps.iv(0.3, z)) * (z / 2.0) ** -0.3
+        assert itilde(a, z) == pytest.approx(ref, rel=1e-12)
+
+
 def test_itilde_values_and_evenness():
     assert itilde(2, 0.0) == pytest.approx(0.5, rel=1e-15)
     for z in (0.4, 2.0, 9.0):
@@ -184,6 +195,25 @@ def test_complex_internals_against_mpmath():
             [complex((z / 2) ** mp.mpc(-alpha) * mp.besseli(alpha, mp.mpc(z))) for z in zs]
         )
         assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-12
+
+
+def test_itilde_complex_near_imaginary_axis_and_left_half():
+    # points a Cauchy circle reaches for x up to 60, where a plain power
+    # series of It loses up to all its digits to cancellation
+    mp = pytest.importorskip("mpmath")
+    zs = [r * np.exp(1j * th) for r in (20.0, 30.0, 45.0, 60.0)
+          for th in (1.45, -1.5, 1.62, 2.2, -2.9)]
+    zs += [-40 - 0j, -40 + 0j, -12.5 + 3j, -0.3 - 0.2j]
+    zs = np.array(zs)
+    with mp.workdps(40):
+        for alpha in (0.0, 0.5, 1.0, 2.0, 4.5):
+            mine = itilde_complex(alpha, zs)
+            ref = np.array(
+                [complex((mp.mpc(z) / 2) ** mp.mpf(-alpha) * mp.besseli(alpha, mp.mpc(z)))
+                 for z in zs]
+            )
+            assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-12
+    assert itilde_complex(1.5, np.array([0j]))[0] == 1.0 / math.gamma(2.5)
 
 
 def test_extended_precision_mode(monkeypatch):

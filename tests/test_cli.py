@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 import minrep.verify
 from minrep.cli import main
@@ -116,6 +117,15 @@ def test_table_ktilde(capsys):
     assert code == 0
     value = float(out.splitlines()[1].split(",")[1])
     assert value == pytest.approx(math.sqrt(math.pi) / 2.0 * math.exp(-1.0), rel=1e-15)
+
+
+def test_table_jtilde_rational_order(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--function", "jtilde", "--order", "0.3", "--x", "1.0"
+    )
+    assert code == 0 and err == ""
+    value = float(out.splitlines()[1].split(",")[1])
+    assert value == pytest.approx(sps.jv(0.3, 1.0) * 0.5**-0.3, rel=1e-12)
 
 
 def test_lambda_tabulation(capsys):

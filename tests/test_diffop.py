@@ -82,6 +82,15 @@ def test_eigen_identity_small_sweep():
                 assert apply_P(mu, ell, M) == M * (j * (j + mu + 1))
 
 
+def test_eigen_identity_laurent_mano():
+    # M_j^{mu,-1} carries an x^{-1} term; P keeps it within x^{-1} Q[x]
+    for mu in (1, 3, 5, 9):
+        for j in (1, 2, 5, 12):
+            M = mano_exact(mu, -1, j)
+            assert M.min_degree_in("x") == -1
+            assert apply_P(mu, -1, M) == M * (j * (j + mu + 1))
+
+
 def test_RR_divisible_by_x_squared_on_mano():
     for mu in (1, 5):
         for ell in (0, 2):

@@ -120,7 +120,7 @@ def test_genfun_coeff_geometric():
 
 
 def test_genfun_coeff_exponential():
-    assert genfun_coeff(cmath.exp, 2, 0.5, 256) == pytest.approx(0.5, abs=1e-12)
+    assert genfun_coeff(np.exp, 2, 0.5, 256) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_genfun_coeff_exact_on_polynomials():
@@ -206,6 +206,33 @@ def test_lambda_partial_sums_match_bessel_product():
         tab = lambda_table(2, 0, 30, np.array([x]))
         lhs = math.fsum(t**j * tab[j, 0] for j in range(31))
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+def test_lambda_table_high_rows_against_laguerre():
+    # against the elementary route
+    # Lam_j^{mu,1}(x) = 2^mu Gamma(j+(mu+1)/2)/Gamma(j+mu+1) e^{-x}/x L_j^mu(2x);
+    # the second case needs the radius cap that keeps It(rho x/(1-rho)) finite
+    mu = 3
+    cases = (
+        (40, np.linspace(0.5, 60.0, 64), 1e-9),
+        (100, np.array([5.0, 30.0, 70.0, 120.0]), 1e-6),
+    )
+    for jmax, xs, tol in cases:
+        tab = lambda_table(mu, 1, jmax, xs)
+        worst = 0.0
+        for j in range(jmax + 1):
+            pref = math.exp(
+                mu * math.log(2.0) + math.lgamma(j + (mu + 1) / 2.0) - math.lgamma(j + mu + 1.0)
+            )
+            want = pref * np.exp(-xs) / xs * sps.eval_genlaguerre(j, mu, 2.0 * xs)
+            worst = max(worst, float(np.max(np.abs(tab[j] - want)) / np.max(np.abs(want))))
+        assert worst < tol
+
+
+def test_lambda_table_short_tables_keep_radius_half():
+    xs = np.array([0.7, 12.0, 45.0])
+    for jmax in (4, 16):
+        assert np.array_equal(lambda_table(2, 0, jmax, xs), lambda_table(2, 0, jmax, xs, rho=0.5))
 
 
 def test_lambda_eval_domain():
