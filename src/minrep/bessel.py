@@ -7,16 +7,19 @@ The primitives are the renormalized forms
     Kt_a(z)   = (z/2)^(-a)   K_a(z),
 
 which are entire (Jt, It) respectively smooth on z > 0 (Kt); the classical
-J, I, K are derived views.  Small arguments use the power series, large
-arguments standard asymptotic evaluation; the crossover sits at
-|argument| = 2*|order| + 20 so both branches stay well conditioned.
+J, I, K are derived views.
 
-For integer and half-integer orders the series branch accumulates exact
-rationals (the Gamma factors are exact rational-sqrtpi values), so its
-result is correctly rounded.  For other orders, rational ones such as
-3/10 included, the series is summed in floating point; setting
-MINREP_PRECISION=extended switches the term recurrence to
-error-compensated double-word arithmetic.
+For integer and half-integer orders, small arguments use the power
+series accumulated in exact rationals (the Gamma factors are exact
+rational-sqrtpi values), so the result is correctly rounded; large
+arguments use scipy's jv and ive.  The crossover sits at
+|argument| = 2*|order| + 20 so both branches stay well conditioned.
+Other orders, rational ones such as 3/10 included, have no exact Gamma
+values and use jv and ive at every argument: a floating-point series
+loses digits to cancellation well below the crossover (about 1e-9
+relative at order 3/10, t = 20).  Where the library value under- or
+overflows the double range (a large order at a tiny argument) the
+evaluators raise ArithmeticError.
 
 Half-integer K-Bessel orders have exact closed forms
 
@@ -36,7 +39,6 @@ real-argument only.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,13 +56,6 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-def _precision_mode() -> str:
-    mode = os.environ.get("MINREP_PRECISION", "double")
-    if mode not in ("double", "extended"):
-        raise ValueError(f"MINREP_PRECISION must be 'double' or 'extended', got {mode!r}")
-    return mode
 
 
 @dataclass(frozen=True)
@@ -111,12 +106,14 @@ class BesselOrder:
 # series engines
 
 
-def _series_rational(nu: Fraction, t: float, alternating: bool) -> float:
+def _series_value(order: BesselOrder, t: float, alternating: bool) -> float:
     """sum_k s^k (t/2)^{2k} / (k! Gamma(nu+k+1)) by exact rational arithmetic.
 
-    Gamma(nu+k+1) is rational or rational*sqrtpi uniformly in k, so the sum
-    is (exact rational) * sqrtpi^{-g}; only the final conversion rounds.
+    Integer and half-integer orders nu only: there Gamma(nu+k+1) is rational
+    or rational*sqrtpi uniformly in k, so the sum is (exact rational) *
+    sqrtpi^{-g}; only the final conversion rounds.
     """
+    nu = order.exact
     q = Fraction(t) ** 2 / 4
     g0 = gamma_exact(nu + 1)
     ((grade, r0),) = g0.terms()
@@ -137,52 +134,16 @@ def _series_rational(nu: Fraction, t: float, alternating: bool) -> float:
     return float(acc) * math.pi ** (-grade / 2.0)
 
 
-def _two_prod(a: float, b: float):
-    """Dekker product: a*b = hi + lo exactly."""
-    hi = a * b
-    c = 134217729.0 * a  # 2^27 + 1 splitter
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = 134217729.0 * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return hi, lo
-
-
-def _series_float(nu: float, t: float, alternating: bool) -> float:
-    """Floating series for non-rational orders; fsum keeps summation exact."""
-    q = t * t / 4.0
-    extended = _precision_mode() == "extended"
-    terms = []
-    term = 1.0 / math.gamma(nu + 1.0)
-    term_lo = 0.0
-    k = 0
-    max_term = term
-    while True:
-        val = term + term_lo if extended else term
-        terms.append(-val if (alternating and k % 2 == 1) else val)
-        k += 1
-        r = q / (k * (nu + k))
-        if extended:
-            hi, lo = _two_prod(term, r)
-            term, term_lo = hi, lo + term_lo * r
-        else:
-            term = term * r
-        if abs(term) > max_term:
-            max_term = abs(term)
-        if k > t / 2 + 2 and abs(term) < 1e-30 * max_term + 1e-320:
-            break
-        if k > 4000:
-            raise ArithmeticError("renormalized Bessel series did not converge")
-    return math.fsum(terms)
-
-
-def _series_value(order: BesselOrder, t: float, alternating: bool) -> float:
+def _use_series(order: BesselOrder, t: float) -> bool:
     # Gamma is an exact rational-sqrtpi value only at integers and half-integers
-    if order.is_integer or order.is_half_integer:
-        return _series_rational(order.exact, t, alternating)
-    return _series_float(order.value, t, alternating)
+    return (order.is_integer or order.is_half_integer) and t < order.crossover
+
+
+def _in_range(value: float, name: str, order: BesselOrder, t: float) -> float:
+    """Raise where the library value under- or overflowed (large order, tiny t)."""
+    if value == 0.0 or not math.isfinite(value):
+        raise ArithmeticError(f"{name}({order.value}, {t}) is outside the double range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +160,10 @@ def jtilde(order, t: float) -> float:
         raise ValueError(f"jtilde needs t >= 0, got {t}")
     if t == 0.0:
         return 1.0 / math.gamma(lam.value + 1.0)
-    if t < lam.crossover:
+    if _use_series(lam, t):
         return _series_value(lam, t, alternating=True)
-    return float(sps.jv(lam.value, t)) * (t / 2.0) ** (-lam.value)
+    value = float(sps.jv(lam.value, t)) * (t / 2.0) ** (-lam.value)
+    return _in_range(value, "jtilde", lam, t)
 
 
 def itilde(order, z: float) -> float:
@@ -212,17 +174,18 @@ def itilde(order, z: float) -> float:
     z = abs(float(z))
     if z == 0.0:
         return 1.0 / math.gamma(a.value + 1.0)
-    if z < a.crossover:
+    if _use_series(a, z):
         return _series_value(a, z, alternating=False)
     # scaled I avoids overflow until exp(z) itself overflows
-    return float(sps.ive(a.value, z)) * math.exp(z) * (z / 2.0) ** (-a.value)
+    value = float(sps.ive(a.value, z)) * math.exp(z) * (z / 2.0) ** (-a.value)
+    return _in_range(value, "itilde", a, z)
 
 
 def ktilde(order, z: float) -> float:
     """Renormalized K-Bessel (z/2)^(-a) K_a(z) on z > 0.
 
     Half-integer orders use the exact closed form sqrtpi e^{-z} P_ell(1/z);
-    other orders use standard series/asymptotic evaluation.
+    other orders use scipy's kv.
     """
     a = BesselOrder.coerce(order)
     z = float(z)

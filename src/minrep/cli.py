@@ -16,9 +16,7 @@ All commands are deterministic: fixed summation orders and node
 schedules make identical invocations produce byte-identical output.
 CSV output is comma-separated with a header row, UTF-8, LF line endings;
 JSON uses stable (sorted) key order.  Floats are printed with 17
-significant digits.  The environment variable MINREP_PRECISION
-(double | extended) selects the working precision of the series
-evaluators.
+significant digits.
 """
 
 from __future__ import annotations

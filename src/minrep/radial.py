@@ -43,7 +43,7 @@ from scipy import special as sps
 
 from .bessel import ktilde
 from .cone import ConeSpec
-from .specfun import _lambda_prefactor, _mano_eval_float, lambda_table, mano_exact
+from .specfun import _lambda_prefactor, _mano_eval_float, _mano_float_coeffs, lambda_table
 
 __all__ = [
     "ExpansionResult",
@@ -183,9 +183,9 @@ def lambda_basis_table(spec: ConeSpec, jmax: int, xs) -> np.ndarray:
         out = np.empty((jmax + 1, len(xs)))
         expf = np.exp(-xs) * xs ** float(-nu)
         for j in range(jmax + 1):
-            pref = _lambda_prefactor(mu, j)
-            vals = np.array([_mano_eval_float(mu, ell, j, 2.0 * x) for x in xs])
-            out[j] = pref * expf * vals
+            es, cs = np.array(_mano_float_coeffs(mu, ell, j)).T
+            vals = cs @ (2.0 * xs)[None, :] ** es[:, None]
+            out[j] = _lambda_prefactor(mu, j) * expf * vals
         return out
     return lambda_table(mu, nu, jmax, xs)
 

@@ -11,10 +11,18 @@ The Mano family M_j^{mu,ell} is defined through the generating function
 with top term (-1)^j x^{j+ell} / j!.  Two independent computation routes
 are implemented and serve as mutual oracles:
 
-  * the exact route expands G as a truncated power series over the exact
-    coefficient ring (odd integer mu, integer ell >= -1); all sqrtpi
-    grades cancel and the result is a rational-coefficient (Laurent)
-    polynomial;
+  * the exact route (odd integer mu, integer ell >= -1) reads the t^j
+    coefficient of G off a closed form.  With tau = t/(1-t) and
+    a = ell + (mu+3)/2,
+
+        G = (1-t)^{-a} K(t,x) F(x tau),   F(s) = e^{-s/2} It_{mu/2}(s/2),
+
+    where K = sqrtpi sum_{k<=ell} (ell+k)!/(k!(ell-k)!) x^{ell-k}
+    (1-t)^{ell+1+k} is the K-Bessel factor (sqrtpi/x when ell = -1), so
+    [t^j] G is a double sum over k <= ell and m <= j of exact scalars
+    times binomial coefficients of (1-t)^{ell+1+k-a-m}.  The coefficients
+    live in Q[sqrtpi, 1/sqrtpi]; all sqrtpi grades cancel and the result
+    is a rational-coefficient (Laurent) polynomial;
   * the numeric route extracts Taylor coefficients by the trapezoidal
     Cauchy integral on a circle |t| = rho < 1 (:func:`genfun_coeff`).
 
@@ -41,15 +49,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sps
 
-from .algebra import (
-    ExactScalar,
-    ExactnessError,
-    Polynomial,
-    PowerSeries,
-    gamma_exact,
-    one_minus_t_power,
-    series_expand,
-)
+from .algebra import ExactScalar, Polynomial, gamma_exact
 from .bessel import itilde_complex, ktilde, ktilde_complex
 
 __all__ = [
@@ -163,57 +163,86 @@ def laguerre(j: int, mu=None) -> Polynomial:
 # Mano polynomials, exact route
 
 
-def _kfactor_series(ell: int, order: int) -> PowerSeries:
-    """(x/2)^{2 ell + 1} Kt_{ell+1/2}(x/(2(1-t))) / e^{-x/(2(1-t))} as a series.
+def _bessel_exp_coeffs(mu: int, order: int) -> list:
+    """c_0..c_order of F(s) = e^{-s/2} It_{mu/2}(s/2) = sum_m c_m s^m, grade -1.
 
-    Equals sqrtpi * sum_{k=0}^{ell} (ell+k)!/(k!(ell-k)!) x^{ell-k}
-    (1-t)^{ell+1+k}; for ell = -1 the single Laurent term sqrtpi / x.
+    c_m = sum_{2k <= m} (-1/2)^{m-2k}/(m-2k)! * 1/(16^k k! Gamma(mu/2+k+1)).
     """
-    variables = ("x",)
+    expo = [Fraction(1)]
+    for i in range(1, order + 1):
+        expo.append(expo[-1] * Fraction(-1, 2 * i))
+    # Gamma(mu/2+1) / (16^k k! Gamma(mu/2+k+1)), rational
+    ibes = [Fraction(1)]
+    for k in range(1, order // 2 + 1):
+        ibes.append(ibes[-1] * Fraction(2, 16 * k * (mu + 2 * k)))
+    inv_gamma = 1 / gamma_exact(Fraction(mu, 2) + 1)
+    return [
+        inv_gamma * sum(ibes[k] * expo[m - 2 * k] for k in range(m // 2 + 1))
+        for m in range(order + 1)
+    ]
+
+
+def _kfactor_coeffs(ell: int) -> list:
+    """b_0..b_ell of the K-Bessel factor of G, grade 1.
+
+    (x/2)^{2 ell + 1} Kt_{ell+1/2}(x/(2(1-t))) / e^{-x/(2(1-t))}
+    = sum_k b_k x^{ell-k} (1-t)^{ell+1+k} with b_k = sqrtpi (ell+k)!/(k!(ell-k)!);
+    for ell = -1 the single Laurent term sqrtpi / x, that is b_0 = sqrtpi.
+    """
     if ell == -1:
-        coeff = ExactScalar(1, grade=1)
-        mono = Polynomial.monomial((-1,), coeff, variables)
-        return PowerSeries([mono], order=order, variables=variables)
-    out = PowerSeries.zero(order, variables)
-    for k in range(ell + 1):
-        c = Fraction(
-            math.factorial(ell + k), math.factorial(k) * math.factorial(ell - k)
+        return [ExactScalar(1, grade=1)]
+    return [
+        ExactScalar(
+            Fraction(math.factorial(ell + k), math.factorial(k) * math.factorial(ell - k)),
+            grade=1,
         )
-        mono = Polynomial.monomial((ell - k,), ExactScalar(c, grade=1), variables)
-        out = out + one_minus_t_power(ell + 1 + k, order, variables) * mono
-    return out
+        for k in range(ell + 1)
+    ]
 
 
-@lru_cache(maxsize=64)
-def _mano_series(mu: int, ell: int, order: int) -> PowerSeries:
-    """Series of G^{mu,ell} in t through the given order, exact coefficients.
-
-    The cache stores immutable values keyed by the inputs, so it behaves
-    as a write-once map; concurrent duplicate computation is harmless.
-    """
-    binom = one_minus_t_power(-(ell + (mu + 3) // 2), order)
-    expo = series_expand("exponential", order, c=Fraction(-1, 2))
-    ibes = series_expand("bessel_i", order, mu=mu)
-    return binom * expo * ibes * _kfactor_series(ell, order)
+def _binomial_coeff(e: int, n: int) -> int:
+    """[t^n] (1-t)^e for any integer e."""
+    if e >= 0:
+        return (-1) ** n * math.comb(e, n)
+    return math.comb(n - e - 1, n)
 
 
 def mano_exact(mu, ell=None, j=None) -> Polynomial:
     """Exact Mano polynomial M_j^{mu,ell} (Laurent when ell = -1).
 
-    The result is checked to have pure grade 0 and the exact top term
-    (-1)^j x^{j+ell} / j!; a failure of either check is an implementation
-    bug and raises ArithmeticError.
+    Closed form, no series arithmetic.  With tau = t/(1-t) and
+    a = ell + (mu+3)/2 the generating function is
+
+        G = (1-t)^{-a} K(t,x) F(x tau),
+        F(s) = e^{-s/2} It_{mu/2}(s/2) = sum_m c_m s^m,
+        K = sum_k b_k x^{ell-k} (1-t)^{ell+1+k},  b_k = sqrtpi (ell+k)!/(k!(ell-k)!),
+
+    k <= ell (K = sqrtpi/x when ell = -1), so
+
+        [t^j] G = sum_k sum_{m<=j} b_k c_m x^{ell-k+m} [t^{j-m}] (1-t)^{ell+1+k-a-m},
+
+    (ell+1)(j+1) exact scalar products, and M_j = Gamma(j+mu+1) /
+    (2^mu Gamma(j+(mu+1)/2)) [t^j] G.  c_m has sqrtpi grade -1 and b_k
+    grade +1; the result is checked to have pure grade 0 and the exact top
+    term (-1)^j x^{j+ell} / j!.  A failure of either check is an
+    implementation bug and raises ArithmeticError.
     """
     params = mu if isinstance(mu, ManoParams) else ManoParams(mu, ell, j)
     params.validate_exact()
     mu, ell, j = params.mu, params.ell, params.j
-    order = 10 if j <= 10 else j
-    series = _mano_series(mu, ell, order)
-    coeff = series.coefficient(j)
+    a = ell + (mu + 3) // 2
+    cs = _bessel_exp_coeffs(mu, j)
     pref = Fraction(
         math.factorial(j + mu), 2**mu * math.factorial(j + (mu + 1) // 2 - 1)
     )
-    poly = coeff * ExactScalar(pref)
+    acc: dict = {}
+    for k, b in enumerate(_kfactor_coeffs(ell)):
+        for m in range(j + 1):
+            binom = _binomial_coeff(ell + 1 + k - a - m, j - m)
+            if binom:
+                d = ell - k + m
+                acc[d] = acc.get(d, 0) + b * cs[m] * binom
+    poly = Polynomial(("x",), {(d,): c * pref for d, c in acc.items()})
     for exps, c in poly.terms().items():
         if not c.is_rational:
             raise ArithmeticError(
@@ -434,14 +463,20 @@ def lambda_table(
     1 as j grows (Bornemann, Found. Comput. Math. 11 (2011)); a fixed
     rho = 0.5 loses about j log10(2) digits.  The default is capped at
     700/(700 + max x), which keeps the It factor, of size up to
-    e^{rho x/(1-rho)}, inside the double range.
+    e^{rho x/(1-rho)}, inside the double range; an explicit rho beyond
+    that bound raises ValueError.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0):
         raise ValueError("lambda_table needs x > 0")
+    xmax = float(np.max(xs, initial=0.0))
     if rho is None:
-        xmax = float(np.max(xs, initial=0.0))
         rho = min(max(0.5, 1.0 - 8.0 / max(jmax, 1)), 700.0 / (700.0 + xmax))
+    elif not 0 < rho < 1 or rho * xmax / (1.0 - rho) > 700.0:
+        raise ValueError(
+            f"Cauchy radius rho={rho} needs 0 < rho < 1 and rho * max x / (1 - rho) "
+            f"<= 700 (the It factor overflows); max x is {xmax}"
+        )
     mu_f, nu_f = float(mu), float(nu)
 
     def table_chunk(xs_chunk: np.ndarray, n: int) -> np.ndarray:

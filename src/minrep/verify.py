@@ -139,7 +139,7 @@ def suite_genfun() -> list:
         CheckResult(
             "genfun",
             "mano exact vs cauchy (20 samples)",
-            "Taylor coefficients of the generating function match the exact series route",
+            "Taylor coefficients of the generating function match the exact closed-form route",
             worst,
             1e-9,
         )

@@ -216,12 +216,22 @@ def test_itilde_complex_near_imaginary_axis_and_left_half():
     assert itilde_complex(1.5, np.array([0j]))[0] == 1.0 / math.gamma(2.5)
 
 
-def test_extended_precision_mode(monkeypatch):
-    monkeypatch.setenv("MINREP_PRECISION", "extended")
-    # non-rational order goes through the compensated float series
-    v = jtilde(0.3, 5.0)
-    ref = float(sps.jv(0.3, 5.0)) * (5.0 / 2.0) ** -0.3
-    assert v == pytest.approx(ref, rel=1e-12)
-    monkeypatch.setenv("MINREP_PRECISION", "bogus")
-    with pytest.raises(ValueError):
-        jtilde(0.3, 5.0)
+def test_off_half_integer_orders_against_mpmath():
+    # below the crossover 2|order| + 20, where a float power series
+    # cancels down to about 1e-9 relative at t = 20
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        nu = mp.mpf(3) / 10
+        for t in (8.0, 12.0, 16.0, 20.0, 20.5):
+            tt = mp.mpf(t)
+            ref_j = float((tt / 2) ** -nu * mp.besselj(nu, tt))
+            ref_i = float((tt / 2) ** -nu * mp.besseli(nu, tt))
+            for order in (Fraction(3, 10), 0.3):
+                assert abs(jtilde(order, t) - ref_j) <= 1e-13 * abs(ref_j)
+                assert abs(itilde(order, t) - ref_i) <= 1e-13 * abs(ref_i)
+
+
+def test_off_half_integer_order_underflow_raises():
+    # J_{50.3}(1e-5) underflows the double range; no silent zero
+    with pytest.raises(ArithmeticError):
+        jtilde(50.3, 1e-5)

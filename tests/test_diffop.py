@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,15 @@ def test_eigen_identity_small_sweep():
             for j in range(5):
                 M = mano_exact(mu, ell, j)
                 assert apply_P(mu, ell, M) == M * (j * (j + mu + 1))
+
+
+def test_eigen_identity_and_top_term_sweep_to_j40():
+    mu, ell = 7, 2
+    for j in range(41):
+        M = mano_exact(mu, ell, j)
+        assert apply_P(mu, ell, M) == M * (j * (j + mu + 1))
+        exps, c = M.leading_term()
+        assert exps == (j + ell,) and c == Fraction((-1) ** j, math.factorial(j))
 
 
 def test_eigen_identity_laurent_mano():

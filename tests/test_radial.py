@@ -17,7 +17,7 @@ from minrep.radial import (
     minimal_ktype,
     u_eval,
 )
-from minrep.specfun import lambda_gram
+from minrep.specfun import lambda_gram, mano_exact
 
 SPEC31 = ConeSpec(3, 1)
 SPEC51 = ConeSpec(5, 1)
@@ -272,3 +272,25 @@ def test_sign_rules_boolean_identities():
 def test_inversion_spec_rejects_odd_total():
     with pytest.raises(ValueError):
         InversionSpec(2, 1)
+
+
+def test_lambda_basis_table_mano_rows_against_mpmath():
+    # odd q with ell >= 1 evaluates the exact Mano coefficients as one
+    # array operation per row; reference: the exact polynomial at 50 digits
+    mp = pytest.importorskip("mpmath")
+    xs = np.linspace(0.05, 60.0, 40)
+    for (p, q, jmax, tol) in ((7, 5, 20, 1e-12), (5, 5, 30, 1e-9)):
+        mu, nu = p - 2, q - 2
+        ell = (nu - 1) // 2
+        tab = lambda_basis_table(ConeSpec(p, q), jmax, xs)
+        with mp.workdps(50):
+            for j in range(jmax + 1):
+                coeffs = [(e[0], mp.mpf(c.as_fraction().numerator) / c.as_fraction().denominator)
+                          for e, c in mano_exact(mu, ell, j).terms().items()]
+                pref = mp.mpf(2) ** mu * mp.gamma(j + mp.mpf(mu + 1) / 2) / mp.gamma(j + mu + 1)
+                ref = np.array([
+                    float(pref * mp.mpf(x) ** -nu * mp.exp(-x)
+                          * mp.fsum(c * (2 * mp.mpf(x)) ** e for e, c in coeffs))
+                    for x in xs
+                ])
+                assert np.max(np.abs(tab[j] - ref)) <= tol * np.max(np.abs(ref))

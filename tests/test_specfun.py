@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special as sps
 
-from minrep.algebra import ExactScalar, Polynomial
+from minrep.algebra import ExactScalar, Polynomial, one_minus_t_power, series_expand
 from minrep.bessel import itilde, ktilde
 from minrep.specfun import (
     LambdaParams,
@@ -99,6 +99,35 @@ def test_mano_grade_and_denominator_invariant():
                 for _, c in M.terms().items():
                     frac = c.as_fraction()  # raises if any sqrtpi grade survives
                     assert bound % frac.denominator == 0
+
+
+def _four_factor_series(mu, ell, order):
+    """G^{mu,ell} as the product of four exact truncated series, the
+    reference route: (1-t)^{-a} e^{-x tau/2} It_{mu/2}(x tau/2) K(t,x)."""
+    binom = one_minus_t_power(-(ell + (mu + 3) // 2), order)
+    expo = series_expand("exponential", order, c=Fraction(-1, 2))
+    ibes = series_expand("bessel_i", order, mu=mu)
+    if ell == -1:
+        kfac = Polynomial.monomial((-1,), ExactScalar(1, grade=1))
+    else:
+        kfac = 0
+        for k in range(ell + 1):
+            c = Fraction(math.factorial(ell + k), math.factorial(k) * math.factorial(ell - k))
+            mono = Polynomial.monomial((ell - k,), ExactScalar(c, grade=1))
+            kfac = one_minus_t_power(ell + 1 + k, order) * mono + kfac
+    return binom * expo * ibes * kfac
+
+
+def test_mano_exact_matches_four_factor_series():
+    order = 12
+    for mu in (1, 3, 5, 7, 9):
+        for ell in (-1, 0, 1, 2, 3):
+            series = _four_factor_series(mu, ell, order)
+            for j in range(order + 1):
+                pref = Fraction(
+                    math.factorial(j + mu), 2**mu * math.factorial(j + (mu + 1) // 2 - 1)
+                )
+                assert mano_exact(mu, ell, j) == series.coefficient(j) * ExactScalar(pref)
 
 
 def test_mano_exact_validation():
@@ -233,6 +262,15 @@ def test_lambda_table_short_tables_keep_radius_half():
     xs = np.array([0.7, 12.0, 45.0])
     for jmax in (4, 16):
         assert np.array_equal(lambda_table(2, 0, jmax, xs), lambda_table(2, 0, jmax, xs, rho=0.5))
+
+
+def test_lambda_table_rejects_overflowing_radius():
+    # rho * max x / (1 - rho) = 900 > 700: the It factor would overflow
+    with pytest.raises(ValueError):
+        lambda_table(2, 0, 30, [5.0, 100.0], rho=0.9)
+    with pytest.raises(ValueError):
+        lambda_table(2, 0, 4, [1.0], rho=1.0)
+    assert np.all(np.isfinite(lambda_table(2, 0, 30, [5.0, 100.0], rho=0.8)))
 
 
 def test_lambda_eval_domain():
