@@ -39,6 +39,7 @@ real-argument only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,6 +78,10 @@ class BesselOrder:
             f = Fraction(x)
             return cls(float(f), f)
         if isinstance(x, float):
+            if abs(x) < sys.float_info.min:
+                # a subnormal order is order 0 to within rounding, and scipy's
+                # ive/kve return NaN there
+                return cls(0.0, Fraction(0))
             f = Fraction(x)
             # floats that are exactly a half-integer keep the exact tag
             return cls(x, f if f.denominator in (1, 2) else None)
@@ -197,7 +202,10 @@ def ktilde(order, z: float) -> float:
             return _ktilde_half_value(ell, z)
         # K_{-a} = K_a: Kt_a(z) = (z/2)^{-2a} Kt_{-a}(z) for a < -1/2
         return (z / 2.0) ** (-2.0 * a.value) * _ktilde_half_value(-ell - 1, z)
-    return float(sps.kv(a.value, z)) * (z / 2.0) ** (-a.value)
+    value = float(sps.kv(a.value, z)) * (z / 2.0) ** (-a.value)
+    if math.isnan(value):
+        raise ArithmeticError(f"ktilde({a.value}, {z}) is not a number")
+    return value
 
 
 def ktilde_half_closed(ell: int) -> Polynomial:
@@ -287,6 +295,7 @@ def itilde_complex(alpha: float, z):
     principal branches of (z/2)^(-alpha) and I_alpha(z) agree and their
     product is the entire function.  The value at z = 0 is 1/Gamma(alpha+1).
     """
+    alpha = BesselOrder.coerce(alpha).value
     z = np.asarray(z, dtype=complex)
     z = np.where(z.real < 0, -z, z)
     zero = z == 0

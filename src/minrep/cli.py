@@ -12,6 +12,8 @@ table      tabulate a renormalized Bessel function or the minimal
 verify     run a named verification suite; one report line per check
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+Output is buffered and written only when the command returns, so a
+command that fails with exit code 2 leaves stdout empty.
 All commands are deterministic: fixed summation orders and node
 schedules make identical invocations produce byte-identical output.
 CSV output is comma-separated with a header row, UTF-8, LF line endings;
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import math
 import sys
@@ -79,9 +83,11 @@ def _cmd_laguerre(args, out) -> int:
     return 0
 
 
-def _grid_from_args(args) -> list:
-    if args.x is not None:
-        return [float(v) for v in args.x]
+def _grid_from_args(args, values: str = "x") -> list:
+    """Explicit `--<values>` points, else `--count` equispaced points on [min, max]."""
+    explicit = getattr(args, values)
+    if explicit is not None:
+        return [float(v) for v in explicit]
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     if args.count == 1:
@@ -123,13 +129,7 @@ def _cmd_kernel(args, out) -> int:
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return 0
     # eval
-    ts = [float(v) for v in args.t] if args.t is not None else None
-    if ts is None:
-        if args.count == 1:
-            ts = [args.min]
-        else:
-            step = (args.max - args.min) / (args.count - 1)
-            ts = [args.min + i * step for i in range(args.count)]
+    ts = _grid_from_args(args, "t")
     methods = ["residue", "contour"] if args.method == "both" else [args.method]
     w = _csv_writer(out)
     w.writerow(["t", "value", "method", "est_error"])
@@ -220,6 +220,7 @@ def _cmd_verify(args, out) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minrep",
@@ -303,13 +304,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the parser is built on the first call, not at import, and reused
+    args = _build_parser().parse_args(argv)
+    # a command that fails part-way writes nothing: its output is buffered
+    # and goes to the current sys.stdout only once the command has returned
+    buf = io.StringIO()
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        code = _COMMANDS[args.command](args, buf)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"minrep {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(buf.getvalue())
+    return code
 
 
 if __name__ == "__main__":

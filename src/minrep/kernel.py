@@ -32,7 +32,11 @@ methods are provided:
     explicit contour (two vertical rays at Re = gamma joined by a
     rectangular detour crossing the real axis at the case's crossing
     point), with tails truncated under the Stirling decay bound
-    |b(gamma+is,t)| = O(|s|^{-2 gamma - (p+q)/2 + 1}).
+    |b(gamma+is,t)| = O(|s|^{-2 gamma - (p+q)/2 + 1}).  The integrand
+    is evaluated on arrays of nodes: the panels are bisected breadth
+    first, and each level makes one call on the nodes of every open
+    panel of a batch (the three detour segments, or the up and down
+    segments of one tail chunk).
 
 The distributional singular parts (Prop-level data) are reported
 symbolically by classify/singular_part: relative coefficients
@@ -42,7 +46,6 @@ for B2 negative powers, the overall constants being unknown.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -203,41 +206,39 @@ def classification_report(p: int, q: int) -> dict:
 # the meromorphic factor
 
 
-def b_eval(lam: complex, t: float, p: int, q: int) -> complex:
+def b_eval(lam, t: float, p: int, q: int):
     """b(lambda, t) = Gamma(-lambda)/Gamma(lambda+(p+q)/2-1) (2t)_+^lambda.
 
     Pointwise branch of the Riesz distribution: 0 for t < 0, and for
     t > 0 the Gamma ratio is computed through loggamma so large imaginary
-    parts neither overflow nor lose the Stirling decay.
+    parts neither overflow nor lose the Stirling decay.  lambda may be a
+    scalar (a complex is returned) or an array (evaluated elementwise).
     """
     if t == 0:
         raise ValueError("b(lambda, t) is evaluated pointwise only for t != 0")
+    lam = np.asarray(lam, dtype=complex)
     if t < 0:
-        return 0j
-    lam = complex(lam)
-    if lam.imag == 0 and lam.real >= 0 and lam.real == int(lam.real):
-        raise ValueError(f"lambda = {lam.real:g} is a pole of Gamma(-lambda)")
-    c = (p + q) / 2.0 - 1.0
-    return cmath.exp(
-        complex(sps.loggamma(-lam)) - complex(sps.loggamma(lam + c))
-        + lam * math.log(2.0 * t)
-    )
+        out = np.zeros_like(lam)
+    else:
+        pole = (lam.imag == 0) & (lam.real >= 0) & (lam.real == np.floor(lam.real))
+        if pole.any():
+            raise ValueError(f"lambda = {lam.real[pole].flat[0]:g} is a pole of Gamma(-lambda)")
+        c = (p + q) / 2.0 - 1.0
+        out = np.exp(sps.loggamma(-lam) - sps.loggamma(lam + c) + lam * math.log(2.0 * t))
+    return complex(out) if out.ndim == 0 else out
 
 
-def _cot_pi(lam: complex) -> complex:
-    if lam.imag >= 0:
-        u = cmath.exp(2j * math.pi * lam)
-        return 1j * (1.0 + u) / (u - 1.0)
-    u = cmath.exp(-2j * math.pi * lam)
-    return -1j * (1.0 + u) / (u - 1.0)
+def _cot_pi(lam):
+    # exp(+-2 pi i lambda) with the sign that decays on lam's half plane
+    s = np.where(lam.imag >= 0, 1.0, -1.0)
+    u = np.exp(2j * math.pi * s * lam)
+    return s * 1j * (1.0 + u) / (u - 1.0)
 
 
-def _csc_pi(lam: complex) -> complex:
-    if lam.imag >= 0:
-        e = cmath.exp(1j * math.pi * lam)
-        return 2j * e / (e * e - 1.0)
-    e = cmath.exp(-1j * math.pi * lam)
-    return -2j * e / (e * e - 1.0)
+def _csc_pi(lam):
+    s = np.where(lam.imag >= 0, 1.0, -1.0)
+    e = np.exp(1j * math.pi * s * lam)
+    return s * 2j * e / (e * e - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +321,7 @@ def _phi_residue(p: int, q: int, t: float) -> KernelValue:
 # contour method
 
 _GL_CACHE: dict = {}
+_PROBES = np.linspace(0.0, 1.0, 5)  # seg_tol samples at 0, 1/4, 1/2, 3/4, 1
 
 
 def _leggauss(order: int):
@@ -330,24 +332,45 @@ def _leggauss(order: int):
     return got
 
 
-def _integrate_line(f, a: complex, b: complex, tol: float, depth: int = 0,
-                    gl_order: int = 24) -> complex:
-    """Adaptive complex line integral, deterministic bisection refinement."""
-    nodes, weights = _leggauss(gl_order)
-    mid = (a + b) / 2.0
+def _integrate_segments(f, a, b, tol, rule):
+    """Adaptive complex line integrals of f over the segments [a_i, b_i].
 
-    def gl(lo, hi):
-        c = (lo + hi) / 2.0
-        r = (hi - lo) / 2.0
-        return r * sum(w * f(c + r * xi) for xi, w in zip(nodes, weights))
-
-    whole = gl(a, b)
-    halves = gl(a, mid) + gl(mid, b)
-    if abs(whole - halves) <= tol or depth >= 24:
-        return halves
-    return _integrate_line(
-        f, a, mid, tol / 2.0, depth + 1, gl_order
-    ) + _integrate_line(f, mid, b, tol / 2.0, depth + 1, gl_order)
+    Breadth-first bisection: each level calls f once, on the nodes of both
+    halves of every open panel (level 0 also on the whole segments).  A
+    panel is accepted when |whole - halves| <= its tol; otherwise its
+    halves go to the next level with tol/2 each, their half-sums becoming
+    their `whole`.  A panel still open at depth 24 raises ArithmeticError.
+    """
+    nodes, weights = rule
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
+    owner = np.arange(a.size)
+    out = np.zeros(a.size, dtype=complex)
+    whole = None
+    for _ in range(25):  # depths 0..24
+        n = a.size
+        mid = (a + b) / 2.0
+        lo, hi = np.concatenate((a, mid)), np.concatenate((mid, b))
+        if whole is None:
+            lo, hi = np.concatenate((lo, a)), np.concatenate((hi, b))
+        c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+        sums = r * (f(c[:, None] + r[:, None] * nodes) @ weights)
+        left, right = sums[:n], sums[n : 2 * n]
+        halves = left + right
+        if whole is None:
+            whole = sums[2 * n :]
+        ok = np.abs(whole - halves) <= tol
+        np.add.at(out, owner[ok], halves[ok])
+        if ok.all():
+            return out
+        bad = ~ok
+        a, b = np.concatenate((a[bad], mid[bad])), np.concatenate((mid[bad], b[bad]))
+        whole = np.concatenate((left[bad], right[bad]))
+        tol = np.tile(tol[bad] / 2.0, 2)
+        owner = np.tile(owner[bad], 2)
+    raise ArithmeticError(
+        f"adaptive contour quadrature: {bad.sum()} panels still open at bisection depth 24"
+    )
 
 
 def default_contour(p: int, q: int) -> ContourSpec:
@@ -386,27 +409,22 @@ def _phi_contour(
             integrand = lambda lam: b_eval(lam, -t, p, q) * _csc_pi(lam)
 
     g, c, h = contour.gamma, contour.crossing, contour.h
+    rule = _leggauss(contour.gl_order)
 
-    def seg_tol(a: complex, b: complex) -> float:
+    def seg_tol(a, b):
         # the quadrature cannot beat the rounding floor of the integrand
         # scale; near the crossing |(2t)^lambda| can dwarf the final value,
         # so the per-segment target is scale-aware
-        probes = [a + frac * (b - a) for frac in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        scale = max(abs(integrand(z)) for z in probes) * abs(b - a)
-        return max(tol / 8.0, 4e-15 * scale)
+        probes = a[:, None] + _PROBES * (b - a)[:, None]
+        scale = np.abs(integrand(probes)).max(axis=1) * np.abs(b - a)
+        return np.maximum(tol / 8.0, 4e-15 * scale)
 
     # upward orientation: bottom ray, lower detour, crossing, upper detour, top ray
-    detour = [
-        (complex(g, -h), complex(c, -h)),
-        (complex(c, -h), complex(c, h)),
-        (complex(c, h), complex(g, h)),
-    ]
-    total = 0j
-    est = 0.0
-    for a, b in detour:
-        st = seg_tol(a, b)
-        est += st
-        total += _integrate_line(integrand, a, b, st, gl_order=contour.gl_order)
+    a = np.array([complex(g, -h), complex(c, -h), complex(c, h)])
+    b = np.array([complex(c, -h), complex(c, h), complex(g, h)])
+    st = seg_tol(a, b)
+    est = sum(st.tolist())
+    total = complex(_integrate_segments(integrand, a, b, st, rule).sum())
 
     # vertical tails in doubling chunks [T, 2T] until both the last chunk
     # and the Stirling bound drop below the tolerance
@@ -415,19 +433,13 @@ def _phi_contour(
     T = 12.0
     tail_bound = math.inf
     while True:
-        st = max(
-            seg_tol(complex(g, T_prev), complex(g, T)),
-            seg_tol(complex(g, -T), complex(g, -T_prev)),
-        )
-        up = _integrate_line(
-            integrand, complex(g, T_prev), complex(g, T), st, gl_order=contour.gl_order
-        )
-        dn = _integrate_line(
-            integrand, complex(g, -T), complex(g, -T_prev), st, gl_order=contour.gl_order
-        )
-        total += up + dn
+        a = np.array([complex(g, T_prev), complex(g, -T)])
+        b = np.array([complex(g, T), complex(g, -T_prev)])
+        st = float(seg_tol(a, b).max())
+        up, dn = _integrate_segments(integrand, a, b, st, rule)
+        total += complex(up + dn)
         est += 2.0 * st
-        mag = abs(integrand(complex(g, T))) + abs(integrand(complex(g, -T)))
+        mag = float(np.abs(integrand(np.array([complex(g, T), complex(g, -T)]))).sum())
         tail_bound = mag * T / decay
         if tail_bound < 0.1 * tol and abs(up) + abs(dn) < tol:
             break

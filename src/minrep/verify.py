@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import special as sps
 
 from . import bessel, kernel, radial, specfun
 from .algebra import Polynomial
+from .bessel import BesselOrder, _series_value
 from .cone import ConeSpec
 from .diffop import apply_P, fundamental_R
 from .radial import InversionSpec, RadialFunction, inner_product
@@ -166,8 +168,6 @@ def suite_genfun() -> list:
         )
     )
     # bessel layer: half-integer closed forms vs series/asymptotic evaluation
-    import scipy.special as sps
-
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(20):
@@ -212,12 +212,9 @@ def suite_genfun() -> list:
     # series/asymptotic crossover continuity
     worst = 0.0
     for lam in (0, Fraction(1, 2), 1, Fraction(3, 2)):
-        cross = bessel.BesselOrder.coerce(lam).crossover
+        cross = BesselOrder.coerce(lam).crossover
         for dt in (-4.0, -2.0, -0.5):
             t = cross + dt
-            from minrep.bessel import _series_value, BesselOrder
-            import scipy.special as sps
-
             s = _series_value(BesselOrder.coerce(lam), t, alternating=True)
             a = float(sps.jv(float(lam), t)) * (t / 2.0) ** (-float(lam))
             worst = max(worst, abs(s - a) / abs(a))

@@ -87,6 +87,18 @@ def test_itilde_even_in_z(z, alpha):
     assert itilde(alpha, -z) == itilde(alpha, z)
 
 
+@pytest.mark.parametrize("alpha", [1e-320, -1e-320, -2.2250738585e-313])
+def test_subnormal_order_is_order_zero(alpha):
+    # scipy's ive/kve return NaN at subnormal orders; those orders are 0
+    # to within rounding, so every evaluator must give the order-0 value
+    assert itilde(alpha, 1.0) == itilde(0, 1.0)
+    assert itilde(alpha, -1.0) == itilde(alpha, 1.0)
+    assert jtilde(alpha, 1.0) == jtilde(0, 1.0)
+    assert ktilde(alpha, 1.0) == ktilde(0, 1.0)
+    z = np.array([0.0, 1.0, 2.0 + 1.0j, -3.0 + 0.5j])
+    np.testing.assert_array_equal(itilde_complex(alpha, z), itilde_complex(0.0, z))
+
+
 def test_itilde_overflow_signals():
     with pytest.raises(OverflowError):
         itilde(0, 800.0)

@@ -95,6 +95,34 @@ def test_kernel_eval_range(capsys):
         assert res[(t, "residue")] == pytest.approx(res[(t, "contour")], rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "eval", "--p", "3", "--q", "1", "--min", "-2", "--max", "3", "--count", "6"),
+        ("kernel", "eval", "--p", "3", "--q", "1", "--count", "0"),
+        ("table", "--function", "jtilde", "--order", "50.3",
+         "--min", "1e-5", "--max", "5", "--count", "3"),
+    ],
+)
+def test_failed_command_writes_no_stdout(capsys, argv):
+    # the header, and in the first case two valid rows, precede the failure
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_repeated_main_calls_share_no_parser_state(capsys):
+    code, out, _ = run_cli(capsys, "kernel", "eval", "--p", "3", "--q", "1",
+                           "--t", "0.5", "1.5", "--method", "contour")
+    assert code == 0
+    assert [l.split(",")[2] for l in out.splitlines()[1:]] == ["contour", "contour"]
+    code, out, _ = run_cli(capsys, "kernel", "eval", "--p", "3", "--q", "1")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()[1:]]
+    assert [(float(r[0]), r[2]) for r in rows] == [(0.1, "residue")]
+
+
 def test_kernel_singular_json(capsys):
     code, out, _ = run_cli(capsys, "kernel", "singular", "--p", "5", "--q", "3")
     assert code == 0

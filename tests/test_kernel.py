@@ -15,6 +15,8 @@ from minrep.kernel import (
     phi_eval_detailed,
     singular_part,
     tabulate,
+    _integrate_segments,
+    _leggauss,
 )
 
 
@@ -115,6 +117,46 @@ def test_b_eval_pole_rejected():
     b_eval(2.0, -1.0, 3, 3)  # not a pole when the Riesz factor vanishes
     with pytest.raises(ValueError):
         b_eval(0.5, 0.0, 3, 3)
+
+
+def test_b_eval_array_matches_scalar_calls():
+    lam = np.array([[0.25 + 3.0j, -1.5 - 0.5j], [4.75 + 1e3j, -2.5 + 0.0j]])
+    for t, p, q in ((0.7, 3, 3), (2.5, 4, 2), (-1.2, 5, 1)):
+        got = b_eval(lam, t, p, q)
+        assert got.shape == lam.shape
+        for z, v in zip(lam.ravel(), got.ravel()):
+            ref = b_eval(complex(z), t, p, q)
+            assert type(ref) is complex
+            assert abs(v - ref) <= 2e-16 * abs(ref)
+    with pytest.raises(ValueError, match="pole"):
+        b_eval(np.array([0.5 + 1j, 3.0, -0.5]), 1.0, 3, 3)
+
+
+def test_integrate_segments_depth_cap_raises():
+    # a kink that no panel resolves at tol 0 must not return the last estimate
+    calls = []
+
+    def kinked(z):
+        calls.append(z.shape)
+        return np.abs(z - 1.0 / 3.0)
+
+    with pytest.raises(ArithmeticError, match="depth 24"):
+        _integrate_segments(kinked, [0.0], [1.0], 0.0, _leggauss(24))
+    assert len(calls) == 25  # one call per level, depths 0..24
+
+
+def test_integrate_segments_polynomial_exact_at_depth_0():
+    calls = []
+
+    def poly(z):
+        calls.append(z.shape)
+        return z**7 - 2j * z**3 + 1.0
+
+    a, b = np.array([0.0, 1.0 + 1.0j]), np.array([2.0, -1.0 + 3.0j])
+    got = _integrate_segments(poly, a, b, 1e-9, _leggauss(24))
+    prim = lambda z: z**8 / 8 - 0.5j * z**4 + z
+    np.testing.assert_allclose(got, prim(b) - prim(a), rtol=1e-14)
+    assert calls == [(6, 24)]  # both halves and the whole of both segments, once
 
 
 def test_b_eval_stirling_decay_exponent():
