@@ -55,6 +55,7 @@ import numpy as np
 from scipy import special as sps
 
 from .cone import ConeSpec
+from .specfun import _leggauss
 
 __all__ = [
     "ContourSpec",
@@ -320,16 +321,7 @@ def _phi_residue(p: int, q: int, t: float) -> KernelValue:
 # ---------------------------------------------------------------------------
 # contour method
 
-_GL_CACHE: dict = {}
 _PROBES = np.linspace(0.0, 1.0, 5)  # seg_tol samples at 0, 1/4, 1/2, 3/4, 1
-
-
-def _leggauss(order: int):
-    got = _GL_CACHE.get(order)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = got
-    return got
 
 
 def _integrate_segments(f, a, b, tol, rule):

@@ -159,6 +159,23 @@ def laguerre(j: int, mu=None) -> Polynomial:
     return out
 
 
+def _laguerre_rows(n: int, alpha, ys: np.ndarray) -> np.ndarray:
+    """L_0^alpha .. L_n^alpha(ys) for integer alpha >= 0, shape (n+1, len(ys)).
+
+    One pass of scipy's eval_genlaguerre recurrence on p_k = L_k / C(k+alpha, k),
+    stabler than the three-term one; row k is C(k+alpha, k) p_k, binomial exact.
+    """
+    out = np.ones((n + 1, ys.size))
+    out[1:2] = -ys + alpha + 1.0  # no row when n = 0
+    d = -ys / (alpha + 1.0)
+    p = d + 1.0
+    for k in range(n - 1):
+        d = -ys / (k + alpha + 2.0) * p + ((k + 1.0) / (k + alpha + 2.0)) * d
+        p = d + p
+        out[k + 2] = math.comb(k + 2 + alpha, k + 2) * p
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Mano polynomials, exact route
 
@@ -352,16 +369,19 @@ def mano_genfun(mu, ell, j: int, x: float, rho: float = 0.5, tol: float = 1e-11)
 # Lambda family
 
 
-def _lambda_prefactor(mu, j: int) -> float:
-    """2^mu Gamma(j+(mu+1)/2) / Gamma(j+mu+1)."""
-    if isinstance(mu, int) and mu % 2 == 1 and mu >= 1:
-        num = gamma_exact(Fraction(2 * j + mu + 1, 2))  # integer argument
-        den = gamma_exact(j + mu + 1)
-        return float(ExactScalar(2**mu) * num / den)
-    mu = float(mu)
-    return math.exp(
-        mu * math.log(2.0) + math.lgamma(j + (mu + 1.0) / 2.0) - math.lgamma(j + mu + 1.0)
-    )
+@lru_cache(maxsize=64)
+def _lambda_prefactors(mu: int, jmax: int) -> np.ndarray:
+    """2^mu Gamma(j+(mu+1)/2) / Gamma(j+mu+1) for j <= jmax, odd mu >= 1, read-only.
+
+    Exact r_0 = 2^mu ((mu-1)/2)!/mu!, r_{j+1} = r_j (2j+mu+1)/(2(j+mu+1)), each rounded once.
+    """
+    r = Fraction(2**mu * math.factorial((mu - 1) // 2), math.factorial(mu))
+    out = np.empty(jmax + 1)
+    for j in range(jmax + 1):
+        out[j] = r
+        r *= Fraction(2 * j + mu + 1, 2 * (j + mu + 1))
+    out.setflags(write=False)
+    return out
 
 
 def _lambda_generating(mu: float, nu: float, x: float):
@@ -400,7 +420,7 @@ def lambda_eval(mu, nu, j: int, x: float, method: str = "auto", tol: float = 1e-
                 "elementary route needs odd integer nu and odd integer mu >= 1"
             )
         ell = (nu - 1) // 2
-        pref = _lambda_prefactor(mu, j)
+        pref = float(_lambda_prefactors(mu, j)[j])
         return pref * x ** (-nu) * math.exp(-x) * _mano_eval_float(mu, ell, j, 2.0 * x)
     if method == "cauchy":
         return _cauchy_coefficient(
@@ -530,16 +550,29 @@ def moment_inner_product(f: Polynomial, g: Polynomial, weight_exponent: int) -> 
     return acc
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gl_panels(upper: float, panels: int, order: int = 32):
+    """Nodes and weights of `panels` equal Gauss-Legendre panels on [0, upper]."""
+    nodes, weights = _leggauss(order)
+    width = upper / panels
+    xs = (((np.arange(panels)[:, None] + 0.5) + 0.5 * nodes[None, :]) * width).ravel()
+    ws = np.tile(0.5 * width * weights, panels)
+    return xs, ws
+
+
 def _quad_weighted_norm(values_fn, weight_exp: float, upper: float, tol: float) -> float:
     """Integral of values_fn(x)^2 x^weight on (0, upper] by doubling GL panels."""
-    nodes, weights = np.polynomial.legendre.leggauss(32)
     panels = 16
     prev = None
     while panels <= 256:
-        width = upper / panels
-        xs = ((np.arange(panels)[:, None] + 0.5) + 0.5 * nodes[None, :]) * width
-        xs = xs.ravel()
-        ws = np.tile(0.5 * width * weights, panels)
+        xs, ws = _gl_panels(upper, panels)
         vals = values_fn(xs)
         cur = float(np.sum(vals * vals * xs**weight_exp * ws))
         if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
@@ -616,12 +649,9 @@ def lambda_gram(mu: int, nu: int, jmax: int, upper: float = 56.0) -> np.ndarray:
     pass; entries are deterministic.
     """
     LambdaParams(mu, nu, 0).validate_orthogonality()
-    nodes, weights = np.polynomial.legendre.leggauss(32)
 
     def gram(panels: int) -> np.ndarray:
-        width = upper / panels
-        xs = (((np.arange(panels)[:, None] + 0.5) + 0.5 * nodes[None, :]) * width).ravel()
-        ws = np.tile(0.5 * width * weights, panels)
+        xs, ws = _gl_panels(upper, panels)
         B = lambda_table(mu, nu, jmax, xs)
         W = ws * xs ** float(mu + nu + 1)
         return (B * W[None, :]) @ B.T

@@ -294,3 +294,28 @@ def test_lambda_basis_table_mano_rows_against_mpmath():
                     for x in xs
                 ])
                 assert np.max(np.abs(tab[j] - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_lambda_basis_table_laguerre_rows_against_mpmath():
+    # ell in {-1, 0}: e^{-x} L_j^mu(2x) (times 1/2, or 1/x) with the exact
+    # Gamma-ratio prefactor; reference: the three-term Laguerre recurrence
+    # and mpmath's Gamma at 50 digits
+    mp = pytest.importorskip("mpmath")
+    xs = np.linspace(0.02, 120.0, 97)
+    jmax = 60
+    for (p, q) in ((3, 1), (5, 1), (9, 1), (3, 3), (7, 3), (11, 3)):
+        mu = p - 2
+        tab = lambda_basis_table(ConeSpec(p, q), jmax, xs)
+        ref = np.empty_like(tab)
+        with mp.workdps(50):
+            for i, x in enumerate(xs):
+                x = mp.mpf(x)
+                lag = [mp.mpf(1), mu + 1 - 2 * x]
+                for k in range(1, jmax):
+                    lag.append(((2 * k + 1 + mu - 2 * x) * lag[k] - (k + mu) * lag[k - 1]) / (k + 1))
+                xpow = mp.exp(-x) / 2 if q == 1 else mp.exp(-x) / x
+                for j in range(jmax + 1):
+                    pref = mp.mpf(2) ** mu * mp.gamma(j + mp.mpf(mu + 1) / 2) / mp.gamma(j + mu + 1)
+                    ref[j, i] = float(pref * xpow * lag[j])
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(np.abs(tab - ref) / scale) <= 1e-15, (p, q)

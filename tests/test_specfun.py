@@ -7,9 +7,12 @@ import pytest
 import scipy.integrate
 import scipy.special as sps
 
-from minrep.algebra import ExactScalar, Polynomial, one_minus_t_power, series_expand
+from minrep.algebra import ExactScalar, Polynomial, gamma_exact, one_minus_t_power, series_expand
 from minrep.bessel import itilde, ktilde
 from minrep.specfun import (
+    _lambda_prefactors,
+    _laguerre_rows,
+    _leggauss,
     LambdaParams,
     ManoParams,
     genfun_coeff,
@@ -40,6 +43,59 @@ def test_laguerre_symbolic():
 def test_laguerre_numeric():
     assert laguerre(2, 2) == X * X * Fraction(1, 2) - 4 * X + 6
     assert laguerre(1, 1) == 2 - X
+
+
+def test_laguerre_rows_against_scipy_and_mpmath():
+    # one recurrence pass for all rows; references: scipy's per-row
+    # eval_genlaguerre and mpmath's hypergeometric Laguerre at 50 digits.
+    # The bare rows peak at y = 240, where scipy itself is off by up to
+    # 3.0e-15 of that peak; with the weight e^{-y/2} of the Lambda basis
+    # both stay within 1e-15 of the row maximum.
+    mp = pytest.importorskip("mpmath")
+    ys = np.linspace(0.0, 240.0, 13)
+    weight = np.exp(-ys / 2.0)
+    for alpha in (1, 3, 5, 7, 9):
+        rows = _laguerre_rows(60, alpha, ys)
+        assert rows.shape == (61, len(ys))
+        with mp.workdps(50):
+            ref = np.array([[float(mp.laguerre(j, alpha, y)) for y in ys] for j in range(61)])
+        for j in range(61):
+            scale = np.max(np.abs(ref[j]))
+            assert np.max(np.abs(rows[j] - sps.eval_genlaguerre(j, alpha, ys))) <= 1e-15 * scale
+            assert np.max(np.abs(rows[j] - ref[j])) <= 4e-15 * scale, (alpha, j)
+            wscale = np.max(np.abs(weight * ref[j]))
+            assert np.max(np.abs(weight * (rows[j] - ref[j]))) <= 1e-15 * wscale, (alpha, j)
+
+
+def test_laguerre_rows_short():
+    ys = np.array([0.0, 0.5, 7.0])
+    assert np.array_equal(_laguerre_rows(0, 3, ys), np.ones((1, 3)))
+    assert np.array_equal(_laguerre_rows(1, 3, ys), np.array([[1.0] * 3, 4.0 - ys]))
+
+
+def test_lambda_prefactors_equal_gamma_ratio():
+    # the running product against 2^mu Gamma(j+(mu+1)/2)/Gamma(j+mu+1) from
+    # exact Gamma values, each rounded once
+    for mu in (1, 3, 5, 7, 9):
+        want = np.array([
+            float(ExactScalar(2**mu) * gamma_exact(j + (mu + 1) // 2) / gamma_exact(j + mu + 1))
+            for j in range(61)
+        ])
+        got = _lambda_prefactors(mu, 60)
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+def test_gauss_legendre_rule_cached_read_only():
+    from minrep.kernel import _leggauss as kernel_leggauss
+
+    nodes, weights = _leggauss(32)
+    fresh = np.polynomial.legendre.leggauss(32)
+    assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
+    assert _leggauss(32) is _leggauss(32) and kernel_leggauss is _leggauss
+    for a in (nodes, weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 # -- Mano exact route ----------------------------------------------------------
