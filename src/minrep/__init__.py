@@ -43,7 +43,6 @@ from .radial import (
 from .specfun import (
     LambdaParams,
     ManoParams,
-    genfun_coeff,
     laguerre,
     lambda_eval,
     mano_exact,
@@ -77,7 +76,6 @@ __all__ = [
     "expand",
     "fundamental_R",
     "gamma_exact",
-    "genfun_coeff",
     "inner_product",
     "itilde",
     "jordan_mul",

@@ -39,12 +39,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special as sps
 
 from .bessel import ktilde
 from .cone import ConeSpec
-from .specfun import (_gl_panels, _lambda_prefactors, _laguerre_rows, _mano_eval_float,
-                      _mano_float_coeffs, lambda_table)
+from .specfun import _elementary_rows, _gl_panels, _lambda_prefactors, lambda_table
 
 __all__ = [
     "ExpansionResult",
@@ -150,27 +148,17 @@ def inner_product(
 def lambda_basis_table(spec: ConeSpec, jmax: int, xs) -> np.ndarray:
     """Lam_j^{p-2,q-2}(x) on a grid for j <= jmax, shape (jmax+1, len(xs)).
 
-    Odd q uses the elementary identity with the exact prefactors
-    2^mu Gamma(j+(mu+1)/2)/Gamma(j+mu+1) of one running product.  For
-    ell = (q-3)/2 in {-1, 0} the rows are e^{-x} L_j^mu(2x) (times 1/2, or
-    1/x), all built by one Laguerre recurrence pass over the grid; for
-    ell >= 1 each row sums the exact Mano coefficients as one array
-    operation.  Even q uses Cauchy extraction from the generating function.
+    Odd q uses the elementary odd-nu rows of `specfun._elementary_rows`
+    (Laguerre rows for q in {1, 3}, exact Mano coefficients for q >= 5);
+    they carry x^{-(q-2)}, so odd q >= 3 needs x > 0.  Even q uses Cauchy
+    extraction from the generating function.
     """
     spec.require_kernel_domain()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     mu, nu = spec.p - 2, spec.q - 2
     if spec.q % 2 == 0:
         return lambda_table(mu, nu, jmax, xs)
-    ell = (nu - 1) // 2
-    if ell in (-1, 0) and mu >= 1:
-        xpow = 0.5 * np.exp(-xs) if ell == -1 else np.exp(-xs) / xs
-        return _lambda_prefactors(mu, jmax)[:, None] * xpow * _laguerre_rows(jmax, mu, 2.0 * xs)
-    rows = np.empty((jmax + 1, len(xs)))
-    for j in range(jmax + 1):
-        es, cs = np.array(_mano_float_coeffs(mu, ell, j)).T
-        rows[j] = cs @ (2.0 * xs)[None, :] ** es[:, None]
-    return _lambda_prefactors(mu, jmax)[:, None] * (np.exp(-xs) * xs ** float(-nu)) * rows
+    return _elementary_rows(mu, nu, jmax, xs)
 
 
 @dataclass(frozen=True)
@@ -300,8 +288,7 @@ def u_eval(m: int, n: int, j: int, x: float) -> float:
         raise ValueError("index j must be >= 0")
     if x <= 0:
         raise ValueError(f"u_eval needs x > 0, got {x}")
-    mu = 2 * m - 3
-    if n == 1:
-        # (2x) e^{-x} M_j^{mu,-1}(2x) = e^{-x} L_j^mu(2x)
-        return math.exp(-x) * float(sps.eval_genlaguerre(j, mu, 2.0 * x))
-    return (2.0 * x) ** (-2 * n + 3) * math.exp(-x) * _mano_eval_float(mu, n - 2, j, 2.0 * x)
+    # u_j^{m,n}(x) = 2^{-nu} Lam_j^{mu,nu}(x) / (2^mu Gamma(j+(mu+1)/2)/Gamma(j+mu+1))
+    mu, nu = 2 * m - 3, 2 * n - 3
+    lam = _elementary_rows(mu, nu, j, np.array([x], dtype=float))[j, 0]
+    return float(2.0 ** (-nu) * lam / _lambda_prefactors(mu, j)[j])

@@ -23,20 +23,22 @@ are implemented and serve as mutual oracles:
     times binomial coefficients of (1-t)^{ell+1+k-a-m}.  The coefficients
     live in Q[sqrtpi, 1/sqrtpi]; all sqrtpi grades cancel and the result
     is a rational-coefficient (Laurent) polynomial;
-  * the numeric route extracts Taylor coefficients by the trapezoidal
-    Cauchy integral on a circle |t| = rho < 1 (:func:`genfun_coeff`).
+  * the numeric route (:func:`mano_genfun`) reads M_j off a Lambda table:
+    G^{mu,ell}(t,x) = (x/2)^{2 ell+1} e^{x/2} sum_j t^j Lam_j^{mu,2 ell+1}(x/2).
 
 The Lambda family is defined by
 
     sum_j t^j Lam_j^{mu,nu}(x) = (1-t)^{-(mu+nu+2)/2}
                                  It_{mu/2}(t x/(1-t)) Kt_{nu/2}(x/(1-t)),
 
-computed by Cauchy extraction in general and by the elementary identity
+computed by Cauchy extraction (:func:`lambda_table`, the one Cauchy engine:
+all j <= jmax from one DFT on a circle |t| = rho < 1) and by the identity
 
     Lam_j^{mu,2l+1}(x) = 2^mu Gamma(j+(mu+1)/2)/Gamma(j+mu+1)
                          * x^{-2l-1} e^{-x} M_j^{mu,l}(2x)
 
-when nu is an odd integer.
+when nu is an odd integer (the one row builder `_elementary_rows`).  The
+per-value :func:`lambda_eval` and :func:`mano_genfun` read one column of these.
 """
 
 from __future__ import annotations
@@ -47,15 +49,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sps
 
 from .algebra import ExactScalar, Polynomial, gamma_exact
-from .bessel import itilde_complex, ktilde, ktilde_complex
+from .bessel import itilde_complex, ktilde_complex
 
 __all__ = [
     "LambdaParams",
     "ManoParams",
-    "genfun_coeff",
     "laguerre",
     "lambda_eval",
     "lambda_gram",
@@ -285,86 +285,6 @@ def _mano_float_coeffs(mu: int, ell: int, j: int) -> tuple:
     return tuple((e[0], float(c)) for e, c in sorted(poly.terms().items()))
 
 
-def _mano_eval_float(mu: int, ell: int, j: int, x: float) -> float:
-    return math.fsum(c * x**e for e, c in _mano_float_coeffs(mu, ell, j))
-
-
-# ---------------------------------------------------------------------------
-# Cauchy coefficient extraction
-
-
-def genfun_coeff(evaluator, j: int, rho: float = 0.5, n_nodes: int = 256) -> float:
-    """Trapezoidal Cauchy approximation to the j-th Taylor coefficient.
-
-    (1/N) sum_k evaluator(rho e^{2 pi i k/N}) rho^{-j} e^{-2 pi i j k/N},
-    summed in fixed node order with exact (fsum) accumulation.  The
-    evaluator receives all N circle points as one complex array and
-    returns the values as an array of the same shape.
-    """
-    if not (0 < rho < 1):
-        raise ValueError(f"Cauchy radius must satisfy 0 < rho < 1, got {rho}")
-    if n_nodes < 1 or (n_nodes & (n_nodes - 1)) != 0:
-        raise ValueError(f"node count must be a power of 2, got {n_nodes}")
-    if j < 0:
-        raise ValueError("coefficient index must be >= 0")
-    k = np.arange(n_nodes)
-    ts = rho * np.exp(2j * np.pi * k / n_nodes)
-    w = np.exp(-2j * np.pi * ((j * k) % n_nodes) / n_nodes)
-    vals = np.broadcast_to(evaluator(ts), ts.shape) * w
-    return math.fsum(vals.real.tolist()) / n_nodes * rho ** (-j)
-
-
-def _cauchy_coefficient(evaluator, j, rho=0.5, tol=1e-11, start=256, max_nodes=8192):
-    """genfun_coeff with node doubling until two successive values agree."""
-    n = start
-    prev = genfun_coeff(evaluator, j, rho, n)
-    while n < max_nodes:
-        n *= 2
-        cur = genfun_coeff(evaluator, j, rho, n)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    return prev
-
-
-def _mano_generating(mu: float, ell: float, x: float):
-    """Evaluator t -> G^{mu,ell}(t, x) on complex arrays t, |t| < 1."""
-    pref = (x / 2.0) ** (2.0 * ell + 1.0) * math.exp(x / 2.0)
-
-    def ev(t):
-        om = 1.0 - t
-        return (
-            pref
-            * om ** (-(ell + (mu + 3.0) / 2.0))
-            * itilde_complex(mu / 2.0, t * x / (2.0 * om))
-            * ktilde_complex(ell + 0.5, x / (2.0 * om))
-        )
-
-    return ev
-
-
-def mano_genfun(mu, ell, j: int, x: float, rho: float = 0.5, tol: float = 1e-11) -> float:
-    """Numeric Mano value by Cauchy extraction from the generating function.
-
-    Works for any real mu > -1 outside {-1,-2,...} and real ell (log-Gamma
-    prefactors); independent of the exact route, which it cross-checks.
-    """
-    params = ManoParams(mu, ell, j)
-    params.validate_float()
-    mu_f, ell_f = float(mu), float(ell)
-    if x <= 0:
-        raise ValueError("mano_genfun needs x > 0")
-    coeff = _cauchy_coefficient(_mano_generating(mu_f, ell_f, x), j, rho=rho, tol=tol)
-    log_pref = (
-        math.lgamma(j + mu_f + 1.0)
-        - mu_f * math.log(2.0)
-        - math.lgamma(j + (mu_f + 1.0) / 2.0)
-        - math.lgamma(j + 1.0)
-    )
-    # the j! from the Taylor derivative cancels one lgamma(j+1)
-    return coeff * math.exp(log_pref + math.lgamma(j + 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Lambda family
 
@@ -384,49 +304,26 @@ def _lambda_prefactors(mu: int, jmax: int) -> np.ndarray:
     return out
 
 
-def _lambda_generating(mu: float, nu: float, x: float):
-    """Evaluator t -> sum_j t^j Lam_j^{mu,nu}(x) on complex arrays t, |t| < 1."""
-    def ev(t):
-        om = 1.0 - t
-        return (
-            om ** (-(mu + nu + 2.0) / 2.0)
-            * itilde_complex(mu / 2.0, t * x / om)
-            * ktilde_complex(nu / 2.0, x / om)
-        )
+def _elementary_rows(mu: int, nu: int, jmax: int, xs: np.ndarray) -> np.ndarray:
+    """Lam_j^{mu,nu}(xs) for j <= jmax, odd mu >= 1 and odd nu >= -1, shape (jmax+1, len(xs)).
 
-    return ev
-
-
-def lambda_eval(mu, nu, j: int, x: float, method: str = "auto", tol: float = 1e-11) -> float:
-    """Lambda_j^{mu,nu}(x) for x > 0.
-
-    method="elementary" uses the odd-nu identity through the Mano
-    polynomial; method="cauchy" extracts the Taylor coefficient of the
-    generating function; "auto" picks elementary when available.  The two
-    routes agree to ~1e-9 relative on their common domain.
+    The odd-nu identity with the exact prefactors of `_lambda_prefactors`.
+    For ell = (nu-1)/2 in {-1, 0} the rows are e^{-x} L_j^mu(2x) (times 1/2,
+    or 1/x), all built by one Laguerre recurrence pass over the grid; for
+    ell >= 1 each row sums the exact Mano coefficients as one array
+    operation.  The rows carry x^{-nu}, so nu >= 1 needs x > 0.
     """
-    params = mu if isinstance(mu, LambdaParams) else LambdaParams(mu, nu, j)
-    params.validate()
-    mu, nu, j = params.mu, params.nu, params.j
-    if x <= 0:
-        raise ValueError(f"lambda_eval needs x > 0, got {x}")
-    odd_nu = isinstance(nu, int) and nu % 2 == 1
-    elementary_ok = odd_nu and isinstance(mu, int) and mu >= 1 and mu % 2 == 1
-    if method == "auto":
-        method = "elementary" if elementary_ok else "cauchy"
-    if method == "elementary":
-        if not elementary_ok:
-            raise ValueError(
-                "elementary route needs odd integer nu and odd integer mu >= 1"
-            )
-        ell = (nu - 1) // 2
-        pref = float(_lambda_prefactors(mu, j)[j])
-        return pref * x ** (-nu) * math.exp(-x) * _mano_eval_float(mu, ell, j, 2.0 * x)
-    if method == "cauchy":
-        return _cauchy_coefficient(
-            _lambda_generating(float(mu), float(nu), x), j, tol=tol
-        )
-    raise ValueError(f"unknown method {method!r}")
+    if nu >= 1 and np.any(xs <= 0):
+        raise ValueError(f"Lambda rows with nu = {nu} >= 1 need x > 0")
+    ell = (nu - 1) // 2
+    if ell in (-1, 0) and mu >= 1:
+        xpow = 0.5 * np.exp(-xs) if ell == -1 else np.exp(-xs) / xs
+        return _lambda_prefactors(mu, jmax)[:, None] * xpow * _laguerre_rows(jmax, mu, 2.0 * xs)
+    rows = np.empty((jmax + 1, len(xs)))
+    for j in range(jmax + 1):
+        es, cs = np.array(_mano_float_coeffs(mu, ell, j)).T
+        rows[j] = cs @ (2.0 * xs)[None, :] ** es[:, None]
+    return _lambda_prefactors(mu, jmax)[:, None] * (np.exp(-xs) * xs ** float(-nu)) * rows
 
 
 def _lambda_generating_table(mu: float, nu: float, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -530,6 +427,53 @@ def lambda_table(
             return nxt
         cur = nxt
     return cur
+
+
+def lambda_eval(mu, nu, j: int, x: float, method: str = "auto") -> float:
+    """Lambda_j^{mu,nu}(x) for x > 0.
+
+    method="elementary" reads column x of the odd-nu rows of
+    `_elementary_rows`; method="cauchy" reads it off `lambda_table`;
+    "auto" picks elementary when available.  Measured for odd mu <= 7,
+    j <= 40 and x in [0.5, 30], relative to max |Lam_{j-1..j+1}(x)|: for
+    nu in {-1, 1} (Laguerre rows) the routes agree to 1.2e-10; for nu >= 3
+    the Cauchy route stays within 4e-11 of the exact Mano polynomial, but
+    the elementary rows sum monomials of alternating sign and at j = 40,
+    x = 30 are off by more than the value itself.
+    """
+    params = mu if isinstance(mu, LambdaParams) else LambdaParams(mu, nu, j)
+    params.validate()
+    mu, nu, j = params.mu, params.nu, params.j
+    if x <= 0:
+        raise ValueError(f"lambda_eval needs x > 0, got {x}")
+    odd_nu = isinstance(nu, int) and nu % 2 == 1
+    elementary_ok = odd_nu and isinstance(mu, int) and mu >= 1 and mu % 2 == 1
+    if method == "auto":
+        method = "elementary" if elementary_ok else "cauchy"
+    if method == "elementary":
+        if not elementary_ok:
+            raise ValueError("elementary route needs odd integer nu and odd integer mu >= 1")
+        return float(_elementary_rows(mu, nu, j, np.array([x], dtype=float))[j, 0])
+    if method == "cauchy":
+        return float(lambda_table(mu, nu, j, [x])[j, 0])
+    raise ValueError(f"unknown method {method!r}")
+
+
+def mano_genfun(mu, ell, j: int, x: float) -> float:
+    """Numeric Mano value from Cauchy extraction, one column of `lambda_table`.
+
+    M_j^{mu,ell}(x) = Gamma(j+mu+1)/(2^mu Gamma(j+(mu+1)/2)) (x/2)^{2 ell+1}
+    e^{x/2} Lam_j^{mu,2 ell+1}(x/2).  Works for any real mu > -1 and real ell;
+    independent of the exact route, which it cross-checks.
+    """
+    ManoParams(mu, ell, j).validate_float()
+    if x <= 0:
+        raise ValueError("mano_genfun needs x > 0")
+    mu_f, nu_f = float(mu), 2.0 * float(ell) + 1.0
+    lam = lambda_table(mu_f, nu_f, j, [x / 2.0])[j, 0]
+    log_pref = (math.lgamma(j + mu_f + 1.0) - mu_f * math.log(2.0)
+                - math.lgamma(j + (mu_f + 1.0) / 2.0) + nu_f * math.log(x / 2.0) + x / 2.0)
+    return float(lam * math.exp(log_pref))
 
 
 # ---------------------------------------------------------------------------

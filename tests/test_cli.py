@@ -209,6 +209,25 @@ def test_invert_requires_increasing_radii(tmp_path, capsys):
     assert "increasing" in err
 
 
+@pytest.mark.parametrize("p,q,code", [(3, 3, 2), (7, 3, 2), (3, 1, 0)])
+def test_invert_sample_at_origin(tmp_path, capsys, p, q, code):
+    # for odd q >= 3 the basis carries x^{-(q-2)}: a sample at r = 0 is an
+    # error with no stdout, not a nan row; q = 1 keeps its finite r = 0 row
+    rs = np.linspace(0.0, 20.0, 161)
+    table = tmp_path / "f.csv"
+    lines = ["r,f"] + [f"{r:.17g},{(1.0 + r) * math.exp(-2.0 * r):.17g}" for r in rs]
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got, out, err = run_cli(
+        capsys, "invert", "--p", str(p), "--q", str(q), "--input", str(table), "--tol", "1e-3",
+    )
+    assert got == code, err
+    if code:
+        assert out == ""
+        assert "x > 0" in err
+    else:
+        assert math.isfinite(float(out.splitlines()[1].split(",")[1]))
+
+
 # -- verification ---------------------------------------------------------------------
 
 

@@ -137,6 +137,25 @@ def test_u_eval_domain():
         u_eval(2, 1, 0, -1.0)
 
 
+def test_u_eval_high_j_against_mpmath():
+    # (2x)^{-2n+3} e^{-x} M_j^{2m-3,n-2}(2x) from the exact coefficients at
+    # 80 digits, relative to the envelope |u_{j-1..j+1}(x)|
+    mp = pytest.importorskip("mpmath")
+
+    def want(m, n, j, x):
+        with mp.workdps(80):
+            y = 2 * mp.mpf(x)
+            val = mp.fsum(
+                mp.mpf(c.as_fraction().numerator) / c.as_fraction().denominator * y ** e[0]
+                for e, c in mano_exact(2 * m - 3, n - 2, j).terms().items()
+            )
+            return float(y ** (-2 * n + 3) * mp.exp(-mp.mpf(x)) * val)
+
+    for m, n, j, x in ((3, 2, 40, 30.0), (4, 2, 30, 12.0)):
+        near = [want(m, n, i, x) for i in (j - 1, j, j + 1)]
+        assert abs(u_eval(m, n, j, x) - near[1]) <= 1e-13 * max(map(abs, near))
+
+
 def test_minimal_ktype_values_and_integrability():
     # (3,1): Kt_{-1/2}(2r) = (sqrtpi/2) e^{-2r}
     for r in (0.2, 1.0, 3.0):

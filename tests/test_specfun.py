@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from minrep.specfun import (
     _leggauss,
     LambdaParams,
     ManoParams,
-    genfun_coeff,
     laguerre,
     lambda_eval,
     lambda_gram,
@@ -198,52 +196,6 @@ def test_mano_exact_validation():
 # -- Cauchy extraction ---------------------------------------------------------
 
 
-def test_genfun_coeff_geometric():
-    assert genfun_coeff(lambda t: 1.0 / (1.0 - t), 3, 0.5, 256) == pytest.approx(
-        1.0, abs=1e-12
-    )
-
-
-def test_genfun_coeff_exponential():
-    assert genfun_coeff(np.exp, 2, 0.5, 256) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_genfun_coeff_exact_on_polynomials():
-    # for a polynomial evaluator the trapezoidal Cauchy rule is exact up
-    # to rounding: every aliased coefficient is zero
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.integers(min_value=-20, max_value=20), min_size=1, max_size=6
-        ),
-        st.integers(min_value=0, max_value=5),
-    )
-    def check(coeffs, j):
-        def ev(t):
-            acc = 0.0 + 0.0j
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            return acc
-
-        want = float(coeffs[j]) if j < len(coeffs) else 0.0
-        got = genfun_coeff(ev, j, 0.5, 64)
-        assert got == pytest.approx(want, abs=1e-10)
-
-    check()
-
-
-def test_genfun_coeff_preconditions():
-    with pytest.raises(ValueError):
-        genfun_coeff(cmath.exp, 2, rho=1.0)
-    with pytest.raises(ValueError):
-        genfun_coeff(cmath.exp, 2, n_nodes=100)
-    with pytest.raises(ValueError):
-        genfun_coeff(cmath.exp, -1)
-
-
 def test_mano_genfun_matches_exact_single():
     ve = float(mano_exact(3, 1, 1).evaluate({"x": 1.0}))
     assert mano_genfun(3, 1, 1, 1.0) == pytest.approx(ve, rel=1e-9)
@@ -259,6 +211,49 @@ def test_mano_genfun_matches_exact_sweep():
         ve = float(mano_exact(mu, ell, j).evaluate({"x": x}))
         vc = mano_genfun(mu, ell, j, x)
         assert vc == pytest.approx(ve, rel=1e-9, abs=1e-12)
+
+
+def test_mano_genfun_high_j_against_exact():
+    # the Lambda-table column keeps its digits at high j; a Cauchy circle of
+    # fixed radius 0.5 was off by 5e-8, 8e-9 and 5e-5 here
+    for mu, ell, j, x in ((7, 2, 30, 10.0), (3, -1, 25, 3.0), (1, 0, 40, 20.0)):
+        ve = float(mano_exact(mu, ell, j).evaluate({"x": Fraction(x)}))
+        assert abs(mano_genfun(mu, ell, j, x) - ve) <= 1e-10 * max(1.0, abs(ve))
+
+
+def test_mano_genfun_off_the_exact_domain_against_mpmath():
+    # real mu > -1 and any real ell: [t^j] G^{mu,ell} by mpmath's Taylor
+    # expansion of the generating function, with It_a(z) = 0F1(;a+1;z^2/4)/Gamma(a+1)
+    # and Kt_a(z) = (z/2)^{-a} K_a(z)
+    mp = pytest.importorskip("mpmath")
+    mu, ell, j, x = -0.5, -2.5, 5, 1.7
+    with mp.workdps(20):
+        mu_m, ell_m, x_m = mp.mpf(mu), mp.mpf(ell), mp.mpf(x)
+
+        def gen(t):
+            om = 1 - t
+            zi, zk = t * x_m / (2 * om), x_m / (2 * om)
+            it = mp.hyp0f1(mu_m / 2 + 1, zi**2 / 4) / mp.gamma(mu_m / 2 + 1)
+            kt = (zk / 2) ** (-(ell_m + 0.5)) * mp.besselk(ell_m + 0.5, zk)
+            return ((x_m / 2) ** (2 * ell_m + 1) * mp.exp(x_m / 2)
+                    * om ** (-(ell_m + (mu_m + 3) / 2)) * it * kt)
+
+        coeff = mp.taylor(gen, 0, j)[j]
+        want = float(mp.gamma(j + mu_m + 1) / (2**mu_m * mp.gamma(j + (mu_m + 1) / 2)) * coeff)
+    assert mano_genfun(mu, ell, j, x) == pytest.approx(want, rel=1e-11)
+
+
+def test_per_value_entry_points_return_python_float():
+    # a numpy scalar would make a caller's comparisons numpy.bool_, which
+    # json cannot encode
+    from minrep.radial import u_eval
+
+    assert type(mano_genfun(3, 1, 4, 2.0)) is float
+    for method in ("auto", "elementary", "cauchy"):
+        assert type(lambda_eval(3, 1, 4, 2.0, method=method)) is float
+    assert type(lambda_eval(2, 0, 4, 2.0)) is float
+    for n in (1, 2, 3):
+        assert type(u_eval(3, n, 4, 2.0)) is float
 
 
 # -- Lambda family ---------------------------------------------------------------
@@ -312,6 +307,20 @@ def test_lambda_table_high_rows_against_laguerre():
             want = pref * np.exp(-xs) / xs * sps.eval_genlaguerre(j, mu, 2.0 * xs)
             worst = max(worst, float(np.max(np.abs(tab[j] - want)) / np.max(np.abs(want))))
         assert worst < tol
+
+
+def test_lambda_eval_high_j_against_laguerre():
+    # both routes against scipy's Laguerre form of Lam_j^{3,1}, relative to the
+    # envelope |Lam_{j-1..j+1}(x)|, so x near a zero of Lam_j reads no lost digit
+    def want(j, x):
+        pref = math.exp(3 * math.log(2.0) + math.lgamma(j + 2.0) - math.lgamma(j + 4.0))
+        return pref * math.exp(-x) / x * float(sps.eval_genlaguerre(j, 3, 2.0 * x))
+
+    for method, tol in (("cauchy", 1e-10), ("elementary", 1e-13)):
+        for j in (20, 30, 40):
+            for x in (0.5, 5.0, 30.0):
+                env = max(abs(want(i, x)) for i in (j - 1, j, j + 1))
+                assert abs(lambda_eval(3, 1, j, x, method=method) - want(j, x)) <= tol * env
 
 
 def test_lambda_table_short_tables_keep_radius_half():
