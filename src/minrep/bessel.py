@@ -250,41 +250,6 @@ def _ktilde_half_value(ell: int, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# validation-only series branch for K (reflection formula, non-integer order)
-
-
-def _itilde_any_order(alpha: float, z: float) -> float:
-    """It_alpha series without the alpha > -1 restriction (alpha not a
-    nonpositive integer); only the reflection cross-check needs this."""
-    q = z * z / 4.0
-    term = 1.0 / math.gamma(alpha + 1.0)
-    terms = [term]
-    for k in range(1, 500):
-        term = term * q / (k * (alpha + k))
-        terms.append(term)
-        if abs(term) < 1e-30 * max(abs(x) for x in terms):
-            return math.fsum(terms)
-    raise ArithmeticError("series did not converge")
-
-
-def _ktilde_series(alpha: float, z: float) -> float:
-    """Ascending-series K via the reflection formula, small z only.
-
-    Kt_a = pi/(2 sin(pi a)) [ (z/2)^{-2a} It_{-a}(z) - It_a(z) ], a not an
-    integer.  Cancellation grows like e^{2z}, so this branch is only used
-    to cross-check the production route on a small-z window.
-    """
-    a = BesselOrder.coerce(alpha)
-    if a.is_integer:
-        raise ValueError("reflection series needs a non-integer order")
-    s = math.pi / (2.0 * math.sin(math.pi * a.value))
-    return s * (
-        (z / 2.0) ** (-2.0 * a.value) * _itilde_any_order(-a.value, z)
-        - _itilde_any_order(a.value, z)
-    )
-
-
-# ---------------------------------------------------------------------------
 # complex-argument internals (Cauchy extraction support)
 
 

@@ -32,7 +32,8 @@ The Lambda family is defined by
                                  It_{mu/2}(t x/(1-t)) Kt_{nu/2}(x/(1-t)),
 
 computed by Cauchy extraction (:func:`lambda_table`, the one Cauchy engine:
-all j <= jmax from one DFT on a circle |t| = rho < 1) and by the identity
+all j <= jmax from one Hermitian FFT over n/2+1 nodes of the upper half
+circle |t| = rho < 1, Im t >= 0) and by the identity
 
     Lam_j^{mu,2l+1}(x) = 2^mu Gamma(j+(mu+1)/2)/Gamma(j+mu+1)
                          * x^{-2l-1} e^{-x} M_j^{mu,l}(2x)
@@ -338,23 +339,34 @@ def _lambda_generating_table(mu: float, nu: float, xs: np.ndarray, ts: np.ndarra
     )
 
 
-def _nodes_for(xmax: float, jmax: int, rho: float) -> int:
-    """Circle nodes so the Taylor-tail aliasing is negligible.
+def _nodes_for(xs: np.ndarray, jmax: int, rho: float) -> np.ndarray:
+    """Circle nodes for each point of xs so the Taylor-tail aliasing is negligible.
 
     The Lambda coefficients in t grow at most like (2x)^i / i!, so trapezoid
     aliasing after N nodes is bounded by (2 rho x)^N / N!.  The generating
     function is also singular at t = 1, where its coefficients stop
     decaying, so the aliasing factor rho^N itself must be below 1e-17.
+    N is the first power of two, from max(64, 4(jmax+1)) rounded up, that
+    meets both.  Where N is above 8192 and above that jmax minimum, this
+    raises ValueError.  Needs finite xs and 0 < rho < 1.
     """
     n = 1 << max(6, (4 * (jmax + 1) - 1).bit_length())
-    c = 2.0 * rho * xmax
-    while n < 8192:
+    cap = max(8192, n)
+    log_c = np.log(np.maximum(2.0 * rho * xs, 1e-9))
+    nodes = np.zeros(xs.shape, dtype=np.int64)
+    while not np.all(nodes):
         # log of the first aliased coefficient, Stirling form
-        log_tail = n * math.log(max(c, 1e-9)) - (n * math.log(n) - n)
-        if log_tail < -60.0 and n * math.log(rho) <= math.log(1e-17):
-            return n
+        log_tail = n * log_c - (n * math.log(n) - n)
+        meets = (log_tail < -60.0) & (n * math.log(rho) <= math.log(1e-17))
+        nodes[(nodes == 0) & meets] = n
         n *= 2
-    return n
+    if np.max(nodes, initial=0) > cap:
+        worst = int(np.argmax(nodes))
+        raise ValueError(
+            f"Cauchy extraction at x = {xs[worst]}, jmax = {jmax}, rho = {rho} needs "
+            f"{nodes[worst]} circle nodes for its aliasing bound, over the cap of {cap}"
+        )
+    return nodes
 
 
 def lambda_table(
@@ -369,10 +381,13 @@ def lambda_table(
     """Lambda_j^{mu,nu}(x) for all j <= jmax on a grid, shape (jmax+1, len(xs)).
 
     Cauchy extraction shares one batch of generating-function values per x:
-    the coefficients for all j come from a single DFT along the circle.
-    The grid is processed in magnitude bins so the node count can follow
-    the aliasing bound; refine=True doubles nodes until two successive
-    tables agree to tol, as an independent consistency pass.
+    for real x, mu and nu the values at conjugate nodes are conjugate, so
+    the coefficients for all j come from one Hermitian FFT over the n/2+1
+    nodes of the upper half circle.  Each x gets the node count n of its
+    aliasing bound (`_nodes_for`, which raises above its cap before any
+    Bessel call), and points with equal n share one FFT; refine=True
+    doubles nodes until two successive tables agree to tol, as an
+    independent consistency pass.
 
     The default radius is rho = max(0.5, 1 - 8/jmax).  The generating
     function is singular at t = 1, and for such functions the radius that
@@ -384,8 +399,8 @@ def lambda_table(
     that bound raises ValueError.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
-        raise ValueError("lambda_table needs x > 0")
+    if not np.all(np.isfinite(xs) & (xs > 0)):
+        raise ValueError("lambda_table needs finite x > 0")
     xmax = float(np.max(xs, initial=0.0))
     if rho is None:
         rho = min(max(0.5, 1.0 - 8.0 / max(jmax, 1)), 700.0 / (700.0 + xmax))
@@ -397,24 +412,21 @@ def lambda_table(
     mu_f, nu_f = float(mu), float(nu)
 
     def table_chunk(xs_chunk: np.ndarray, n: int) -> np.ndarray:
-        ts = rho * np.exp(2j * np.pi * np.arange(n) / n)
+        # f(conj t) = conj f(t) for real x, mu and nu, so the DFT input is
+        # Hermitian and the upper half circle k = 0..n/2 determines it
+        ts = rho * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
         vals = _lambda_generating_table(mu_f, nu_f, xs_chunk, ts)
-        coeffs = np.fft.fft(vals, axis=1)[:, : jmax + 1] / n
+        coeffs = np.fft.hfft(vals, n, axis=1)[:, : jmax + 1] / n
         scale = rho ** (-np.arange(jmax + 1, dtype=float))
-        return (coeffs.real * scale[None, :]).T
+        return (coeffs * scale[None, :]).T
+
+    nodes = _nodes_for(xs, jmax, rho)
 
     def table(extra_doubling: int) -> np.ndarray:
         out = np.empty((jmax + 1, len(xs)), dtype=float)
-        order = np.argsort(xs, kind="stable")
-        sorted_x = xs[order]
-        lo = 0
-        while lo < len(sorted_x):
-            n = _nodes_for(float(sorted_x[lo]), jmax, rho) << extra_doubling
-            hi = lo
-            while hi < len(sorted_x) and _nodes_for(float(sorted_x[hi]), jmax, rho) << extra_doubling == n:
-                hi += 1
-            out[:, order[lo:hi]] = table_chunk(sorted_x[lo:hi], n)
-            lo = hi
+        for n in np.unique(nodes):
+            at = nodes == n
+            out[:, at] = table_chunk(xs[at], int(n) << extra_doubling)
         return out
 
     cur = table(0)

@@ -6,12 +6,16 @@ import pytest
 import scipy.integrate
 import scipy.special as sps
 
+from minrep import specfun
 from minrep.algebra import ExactScalar, Polynomial, gamma_exact, one_minus_t_power, series_expand
 from minrep.bessel import itilde, ktilde
 from minrep.specfun import (
+    _elementary_rows,
+    _lambda_generating_table,
     _lambda_prefactors,
     _laguerre_rows,
     _leggauss,
+    _nodes_for,
     LambdaParams,
     ManoParams,
     laguerre,
@@ -338,11 +342,95 @@ def test_lambda_table_rejects_overflowing_radius():
     assert np.all(np.isfinite(lambda_table(2, 0, 30, [5.0, 100.0], rho=0.8)))
 
 
+def test_generating_function_is_hermitian():
+    # f(conj t) = conj f(t) for real x, mu, nu: the premise of the half-circle FFT
+    xs = np.array([0.05, 0.5, 3.0, 17.0, 60.0])
+    for rho in (0.5, 0.8):
+        ts = np.concatenate([[rho, -rho], rho * np.exp(2j * np.pi * np.arange(1, 64) / 128)])
+        for mu, nu in ((4, 0), (3, 1), (2, 2), (1.5, 0.7)):
+            vals = _lambda_generating_table(mu, nu, xs, ts)
+            conj_vals = _lambda_generating_table(mu, nu, xs, np.conj(ts))
+            assert np.all(np.abs(conj_vals - np.conj(vals)) <= 1e-15 * np.abs(vals)), (mu, nu, rho)
+
+
+def test_half_circle_table_matches_full_circle_fft():
+    # the full-circle DFT of all n nodes per x, as the table was built before
+    xs = np.array([0.3, 2.0, 9.5, 31.0, 60.0])
+    for mu, nu in ((4, 0), (3, 1), (2, 2), (1.5, 0.7)):
+        for jmax, rho in ((8, 0.5), (40, 0.8)):
+            tab = lambda_table(mu, nu, jmax, xs, rho=rho)
+            ref = np.empty_like(tab)
+            for i, (x, n) in enumerate(zip(xs, _nodes_for(xs, jmax, rho))):
+                ts = rho * np.exp(2j * np.pi * np.arange(n) / n)
+                vals = _lambda_generating_table(float(mu), float(nu), np.array([x]), ts)
+                ref[:, i] = np.fft.fft(vals[0])[: jmax + 1].real / n * rho ** -np.arange(jmax + 1.0)
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.max(np.abs(tab - ref) / scale) <= 1e-10, (mu, nu, jmax)
+
+
+def _scalar_nodes_for(xmax: float, jmax: int, rho: float) -> int:
+    # the per-point node rule as it was written before vectorising
+    n = 1 << max(6, (4 * (jmax + 1) - 1).bit_length())
+    c = 2.0 * rho * xmax
+    while n < 8192:
+        log_tail = n * math.log(max(c, 1e-9)) - (n * math.log(n) - n)
+        if log_tail < -60.0 and n * math.log(rho) <= math.log(1e-17):
+            return n
+        n *= 2
+    return n
+
+
+def test_vectorised_node_count_equals_scalar_rule():
+    xs = np.geomspace(1e-3, 150.0, 401)
+    for jmax in (0, 4, 16, 17, 40, 100, 300):
+        for rho in (0.05, 0.3, 0.5, 0.8, 0.92):
+            want = [_scalar_nodes_for(float(x), jmax, rho) for x in xs]
+            assert _nodes_for(xs, jmax, rho).tolist() == want, (jmax, rho)
+
+
+def test_node_cap_raises_before_any_bessel_call(monkeypatch):
+    # rho = 0.996 at jmax = 2000: rho^N <= 1e-17 needs N >= 9771, over the cap 8192
+    def no_bessel(*args):
+        raise AssertionError("Bessel call before the node check")
+
+    monkeypatch.setattr(specfun, "itilde_complex", no_bessel)
+    with pytest.raises(ValueError, match="16384 circle nodes"):
+        lambda_table(2, 0, 2000, [1.0])
+
+
+def test_table_evaluates_half_circle_only(monkeypatch):
+    seen = []
+    itilde_complex = specfun.itilde_complex
+
+    def counting(alpha, z):
+        seen.append(np.size(z))
+        return itilde_complex(alpha, z)
+
+    monkeypatch.setattr(specfun, "itilde_complex", counting)
+    xs = np.linspace(0.5, 60.0, 64)
+    lambda_table(2, 2, 40, xs, rho=0.8)
+    assert sum(seen) == int(np.sum(_nodes_for(xs, 40, 0.8) // 2 + 1))
+    assert len(seen) == len(np.unique(_nodes_for(xs, 40, 0.8)))
+
+
+def test_lambda_table_odd_nu_rows_against_elementary():
+    xs = np.linspace(0.5, 60.0, 64)
+    for mu, nu in ((3, 1), (1, 1), (5, -1)):
+        ref = _elementary_rows(mu, nu, 40, xs)
+        err = np.abs(lambda_table(mu, nu, 40, xs) - ref) / np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(err) <= 5e-11, (mu, nu)
+
+
 def test_lambda_eval_domain():
     with pytest.raises(ValueError):
         lambda_eval(2, 0, 1, -1.0)
     with pytest.raises(ValueError):
         lambda_eval(2, 0, 1, 0.0)
+    # a NaN grid point would never meet the node rule's bound
+    with pytest.raises(ValueError, match="finite"):
+        lambda_table(2, 0, 4, [1.0, math.nan])
+    with pytest.raises(ValueError):
+        lambda_table(2, 0, 4, [1.0, math.inf])
 
 
 # -- norms and Gram matrices -----------------------------------------------------
