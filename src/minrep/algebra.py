@@ -560,6 +560,12 @@ def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
     raise ValueError(f"unknown op {op!r}, expected 'add' or 'mul'")
 
 
+def _accumulate(terms: dict, exps: tuple, c) -> None:
+    """terms[exps] += c; zero sums stay, the Polynomial constructor drops them."""
+    s = terms.get(exps)
+    terms[exps] = c if s is None else s + c
+
+
 def reduce_mod_quadric(f: Polynomial, spec: ConeSpec) -> Polynomial:
     """Canonical representative of f modulo the ideal (Q).
 
@@ -577,36 +583,28 @@ def reduce_mod_quadric(f: Polynomial, spec: ConeSpec) -> Polynomial:
     if not f.is_true_polynomial:
         raise ExactnessError("quadric reduction is defined for true polynomials")
     last = spec.n - 1
-    # x_n^2 == S mod Q where S carries the first n-1 signed squares.
-    s_terms = {}
-    for a in range(spec.n - 1):
-        exps = [0] * spec.n
-        exps[a] = 2
-        s_terms[tuple(exps)] = spec.epsilon(a + 1)
-    S = Polynomial(spec.variables, s_terms)
-    out_terms: dict = {}
-    reduced = Polynomial(spec.variables, {})
+    # x_n^2 == S mod Q where S carries the first n-1 signed squares; S has
+    # no x_n, so x_n^{2k+r} -> x_n^r S^k is already in normal form.
+    powers: dict = {}
+    out: dict = {}
     for exps, c in f.terms().items():
-        e = exps[last]
-        k, r = divmod(e, 2)
+        k, r = divmod(exps[last], 2)
         if k == 0:
-            s = out_terms.get(exps)
-            s = c if s is None else s + c
-            if s:
-                out_terms[exps] = s
-            else:
-                out_terms.pop(exps, None)
+            _accumulate(out, exps, c)
             continue
-        rest = list(exps)
-        rest[last] = r
-        piece = Polynomial(spec.variables, {tuple(rest): c}) * (S**k)
-        reduced = reduced + piece
-    head = Polynomial(spec.variables, out_terms)
-    if reduced.is_zero:
-        return head
-    # S itself has degree <= 1 in x_n (namely 0), so one pass suffices for
-    # the substituted part; the original low-degree part is already normal.
-    return head + reduced
+        if k not in powers:
+            S = Polynomial(
+                spec.variables,
+                {
+                    tuple(2 * (b == a) for b in range(spec.n)): spec.signature[a]
+                    for a in range(last)
+                },
+            )
+            powers[k] = (S**k).terms().items()
+        rest = exps[:last] + (r,)
+        for e, cs in powers[k]:
+            _accumulate(out, tuple(x + y for x, y in zip(rest, e)), c * cs)
+    return Polynomial(spec.variables, out)
 
 
 class PowerSeries:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,11 @@ class ConeSpec:
             raise IndexError(f"coordinate index {a} out of range 1..{self.n}")
         return 1 if a <= self.p else -1
 
-    @property
+    @cached_property
     def signature(self) -> tuple:
         return tuple(self.epsilon(a) for a in range(1, self.n + 1))
 
-    @property
+    @cached_property
     def variables(self) -> tuple:
         """Canonical variable names x1..x{p+q}, x_{p+q} sorted last."""
         return tuple(f"x{a}" for a in range(1, self.n + 1))

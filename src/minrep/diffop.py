@@ -15,19 +15,30 @@ with Box = sum eps_b d^2/dx_b^2 and E = sum x_b d/dx_b, tangential to the
 cone and mutually commuting modulo the quadric ideal (Q); the coordinate
 multiplications Q_a = x_a; and the rank-two Jordan product on R^{p,q}.
 
-Operators are composable closures over exact polynomial maps, so they
-apply at arbitrary degree without matrix truncation.
+Both second-order operators act by a closed-form rule on one term, so an
+image is one pass over the terms of f, at arbitrary degree and without
+matrix truncation.  With c1 = mu - 2 ell - 1 and c2 = mu the x^{n+2} terms
+of the two Euler factors cancel against (x/2)^2, and R_{mu,ell} is
+bidiagonal on every integer power:
+
+    R_{mu,ell} x^n = (n + c1)(n + c2) x^n - (2n + 1 + c1 + c2)/2 x^{n+1}.
+
+On a monomial x^e of total degree |e| = sum_b e_b,
+
+    R_a x^e = eps_a sum_b eps_b e_b (e_b - 1) x^{e + delta_a - 2 delta_b}
+              - e_a (2|e| + p + q - 4) x^{e - delta_a},
+
+reduced modulo the quadric afterwards.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ExactnessError, Polynomial, reduce_mod_quadric
+from .algebra import ExactnessError, Polynomial, _accumulate, reduce_mod_quadric
 from .cone import ConeSpec
 
 __all__ = [
-    "EulerFactor",
     "apply_P",
     "apply_Rmuell",
     "coordinate_mult",
@@ -36,33 +47,21 @@ __all__ = [
 ]
 
 
-class EulerFactor:
-    """The first-order factor x d/dx + c + a x acting on polynomials in x."""
-
-    __slots__ = ("c", "a")
-
-    def __init__(self, c, a):
-        self.c = Fraction(c)
-        self.a = Fraction(a)
-
-    def __call__(self, f: Polynomial) -> Polynomial:
-        x = Polynomial.variable(f.variables[0], f.variables)
-        return x * f.derivative(f.variables[0]) + f * self.c + x * f * self.a
-
-    def __repr__(self):
-        return f"EulerFactor(c={self.c}, a={self.a})"
-
-
 def apply_Rmuell(mu, ell, f: Polynomial) -> Polynomial:
-    """Exact image of f under R_{mu,ell}; degree grows by at most 2."""
+    """Exact image of f under R_{mu,ell}; degree grows by at most 1."""
     if len(f.variables) != 1:
         raise ValueError("R_{mu,ell} acts on univariate polynomials")
-    mu = Fraction(mu)
-    ell = Fraction(ell)
-    outer = EulerFactor(mu - 2 * ell - 1, Fraction(-1, 2))
-    inner = EulerFactor(mu, Fraction(-1, 2))
-    x = Polynomial.variable(f.variables[0], f.variables)
-    return outer(inner(f)) - x * x * f * Fraction(1, 4)
+    c1 = Fraction(mu) - 2 * Fraction(ell) - 1
+    c2 = Fraction(mu)
+    terms: dict = {}
+    for (n,), c in f.terms().items():
+        diag = (n + c1) * (n + c2)
+        if diag:
+            _accumulate(terms, (n,), c * diag)
+        up = (2 * n + 1 + c1 + c2) / 2
+        if up:
+            _accumulate(terms, (n + 1,), c * -up)
+    return Polynomial(f.variables, terms)
 
 
 def apply_P(mu, ell, f: Polynomial) -> Polynomial:
@@ -94,36 +93,37 @@ def coordinate_mult(a: int, f: Polynomial) -> Polynomial:
     return f.times_power(f.variables[a - 1], 1)
 
 
-def _box(f: Polynomial, spec: ConeSpec) -> Polynomial:
-    out = Polynomial(f.variables, {})
-    for a in range(1, spec.n + 1):
-        name = f.variables[a - 1]
-        out = out + f.derivative(name).derivative(name) * spec.epsilon(a)
-    return out
-
-
-def _euler(f: Polynomial) -> Polynomial:
-    out = Polynomial(f.variables, {})
-    for name in f.variables:
-        out = out + f.derivative(name).times_power(name, 1)
-    return out
-
-
 def fundamental_R(a: int, f: Polynomial, spec: ConeSpec) -> Polynomial:
     """eps_a x_a Box f - (2E + p+q-2)(df/dx_a), reduced modulo the quadric.
 
     The operators are tangential to the cone, so identities among them only
     hold after quadric reduction; the reduction is applied to every image.
+    A Laurent f raises ExactnessError: the quadric ideal is defined on true
+    polynomials only.
     """
     if f.variables != spec.variables:
         raise ValueError("polynomial variables do not match the cone spec")
     if not 1 <= a <= spec.n:
         raise IndexError(f"coordinate index {a} out of range 1..{spec.n}")
-    name = spec.variables[a - 1]
-    d = f.derivative(name)
-    img = _box(f, spec).times_power(name, 1) * spec.epsilon(a)
-    img = img - _euler(d) * 2 - d * (spec.n - 2)
-    return reduce_mod_quadric(img, spec)
+    if not f.is_true_polynomial:
+        raise ExactnessError("R_a is defined modulo the quadric on true polynomials")
+    i = a - 1
+    sig = spec.signature
+    shift = spec.n - 4
+    terms: dict = {}
+    for exps, c in f.terms().items():
+        for b, e in enumerate(exps):
+            if e >= 2:
+                new = list(exps)
+                new[i] += 1
+                new[b] -= 2
+                _accumulate(terms, tuple(new), c * (sig[i] * sig[b] * e * (e - 1)))
+        e = exps[i]
+        if e:
+            new = list(exps)
+            new[i] = e - 1
+            _accumulate(terms, tuple(new), c * (-e * (2 * sum(exps) + shift)))
+    return reduce_mod_quadric(Polynomial(spec.variables, terms), spec)
 
 
 def jordan_mul(u, v, spec: ConeSpec):

@@ -184,20 +184,14 @@ def _laguerre_rows(n: int, alpha, ys: np.ndarray) -> np.ndarray:
 def _bessel_exp_coeffs(mu: int, order: int) -> list:
     """c_0..c_order of F(s) = e^{-s/2} It_{mu/2}(s/2) = sum_m c_m s^m, grade -1.
 
-    c_m = sum_{2k <= m} (-1/2)^{m-2k}/(m-2k)! * 1/(16^k k! Gamma(mu/2+k+1)).
+    By Kummer's transformation (DLMF 10.39.5) F(s) = M((mu+1)/2, mu+1, -s) /
+    Gamma(mu/2+1), so c_0 = 1/Gamma(mu/2+1) and
+    c_m = -c_{m-1} (mu+2m-1) / (2m (mu+m)).
     """
-    expo = [Fraction(1)]
-    for i in range(1, order + 1):
-        expo.append(expo[-1] * Fraction(-1, 2 * i))
-    # Gamma(mu/2+1) / (16^k k! Gamma(mu/2+k+1)), rational
-    ibes = [Fraction(1)]
-    for k in range(1, order // 2 + 1):
-        ibes.append(ibes[-1] * Fraction(2, 16 * k * (mu + 2 * k)))
-    inv_gamma = 1 / gamma_exact(Fraction(mu, 2) + 1)
-    return [
-        inv_gamma * sum(ibes[k] * expo[m - 2 * k] for k in range(m // 2 + 1))
-        for m in range(order + 1)
-    ]
+    cs = [1 / gamma_exact(Fraction(mu, 2) + 1)]
+    for m in range(1, order + 1):
+        cs.append(cs[-1] * Fraction(-(mu + 2 * m - 1), 2 * m * (mu + m)))
+    return cs
 
 
 def _kfactor_coeffs(ell: int) -> list:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minrep.algebra import ExactnessError, Polynomial, reduce_mod_quadric
+from minrep.algebra import ExactnessError, ExactScalar, Polynomial, reduce_mod_quadric
 from minrep.cone import ConeSpec
 from minrep.diffop import (
     apply_P,
@@ -21,6 +21,13 @@ X = Polynomial.variable("x")
 ONE = Polynomial.constant(1)
 
 rationals = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
+# coefficients in Q[sqrtpi, 1/sqrtpi], as the Gamma bookkeeping produces them
+graded = st.builds(
+    lambda pairs: ExactScalar.from_terms(dict(pairs)),
+    st.lists(st.tuples(st.integers(-2, 2), rationals), max_size=3),
+)
+# the cone signatures of the exact-sweep benchmark workload
+SIGNATURES = ((2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3), (4, 2), (3, 3))
 
 
 def upoly(max_degree=5):
@@ -28,6 +35,57 @@ def upoly(max_degree=5):
         lambda terms: Polynomial(("x",), dict(terms)),
         st.lists(st.tuples(st.tuples(st.integers(0, max_degree)), rationals), max_size=5),
     )
+
+
+# -- reference: the operators as compositions of polynomial maps ---------------
+
+
+class EulerFactor:
+    """The first-order factor x d/dx + c + a x acting on polynomials in x."""
+
+    __slots__ = ("c", "a")
+
+    def __init__(self, c, a):
+        self.c = Fraction(c)
+        self.a = Fraction(a)
+
+    def __call__(self, f: Polynomial) -> Polynomial:
+        x = Polynomial.variable(f.variables[0], f.variables)
+        return x * f.derivative(f.variables[0]) + f * self.c + x * f * self.a
+
+
+def composed_Rmuell(mu, ell, f: Polynomial) -> Polynomial:
+    """(x d/dx + mu - 2 ell - 1 - x/2)(x d/dx + mu - x/2) f - (x/2)^2 f."""
+    mu = Fraction(mu)
+    ell = Fraction(ell)
+    outer = EulerFactor(mu - 2 * ell - 1, Fraction(-1, 2))
+    inner = EulerFactor(mu, Fraction(-1, 2))
+    x = Polynomial.variable(f.variables[0], f.variables)
+    return outer(inner(f)) - x * x * f * Fraction(1, 4)
+
+
+def _box(f: Polynomial, spec: ConeSpec) -> Polynomial:
+    out = Polynomial(f.variables, {})
+    for a in range(1, spec.n + 1):
+        name = f.variables[a - 1]
+        out = out + f.derivative(name).derivative(name) * spec.epsilon(a)
+    return out
+
+
+def _euler(f: Polynomial) -> Polynomial:
+    out = Polynomial(f.variables, {})
+    for name in f.variables:
+        out = out + f.derivative(name).times_power(name, 1)
+    return out
+
+
+def composed_fundamental_R(a: int, f: Polynomial, spec: ConeSpec) -> Polynomial:
+    """eps_a x_a Box f - (2E + p+q-2)(df/dx_a) mod Q, from Box and E."""
+    name = spec.variables[a - 1]
+    d = f.derivative(name)
+    img = _box(f, spec).times_power(name, 1) * spec.epsilon(a)
+    img = img - _euler(d) * 2 - d * (spec.n - 2)
+    return reduce_mod_quadric(img, spec)
 
 
 # -- one-variable operators ----------------------------------------------------
@@ -45,14 +103,23 @@ def test_R_on_constants():
 def test_R_degree_bound(f, mu, ell):
     img = apply_Rmuell(mu, ell, f)
     if not f.is_zero and not img.is_zero:
-        assert img.total_degree() <= f.total_degree() + 2
+        assert img.total_degree() <= f.total_degree() + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.tuples(st.integers(-4, 6)), graded), max_size=6),
+    rationals,
+    rationals,
+)
+def test_R_term_rule_matches_composition(terms, mu, ell):
+    f = Polynomial(("x",), dict(terms))
+    assert apply_Rmuell(mu, ell, f) == composed_Rmuell(mu, ell, f)
 
 
 @settings(max_examples=40, deadline=None)
 @given(upoly(), rationals, rationals)
 def test_euler_factor_degree_bound(f, c, a):
-    from minrep.diffop import EulerFactor
-
     img = EulerFactor(c, a)(f)
     if not f.is_zero and not img.is_zero:
         assert img.total_degree() <= f.total_degree() + 1
@@ -66,7 +133,7 @@ def test_P_eigen_examples():
 
 def test_P_divisibility_decided_by_symbolic_oracle():
     # R_{3,1} R_{0,1} (1) must lie in x^2 Q[x] for apply_P(3,1,1) to exist
-    g = apply_Rmuell(3, 1, apply_Rmuell(0, 1, ONE))
+    g = composed_Rmuell(3, 1, composed_Rmuell(0, 1, ONE))
     divisible = g.is_zero or g.min_degree_in("x") >= 2
     if divisible:
         apply_P(3, 1, ONE)
@@ -106,7 +173,7 @@ def test_RR_divisible_by_x_squared_on_mano():
         for ell in (0, 2):
             for j in (0, 2, 4):
                 M = mano_exact(mu, ell, j)
-                g = apply_Rmuell(mu, ell, apply_Rmuell(0, ell, M))
+                g = composed_Rmuell(mu, ell, composed_Rmuell(0, ell, M))
                 assert g.is_zero or g.min_degree_in("x") >= 2
 
 
@@ -123,6 +190,27 @@ def test_fundamental_R_examples():
     one = Polynomial.constant(1, spec.variables)
     assert fundamental_R(1, one, spec).is_zero
     assert fundamental_R(1, x1, spec) == Polynomial.constant(-2, spec.variables)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fundamental_R_term_rule_matches_composition(data):
+    spec = ConeSpec(*data.draw(st.sampled_from(SIGNATURES)))
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(spec.n)])
+    terms = data.draw(st.lists(st.tuples(exps, graded), max_size=5))
+    f = Polynomial(spec.variables, dict(terms))
+    a = data.draw(st.integers(1, spec.n))
+    assert fundamental_R(a, f, spec) == composed_fundamental_R(a, f, spec)
+
+
+def test_fundamental_R_rejects_laurent():
+    # x1^{-1} has no term with e_b >= 2 or e_2 >= 1, so a term map that only
+    # skipped those would return 0 at a = 2 instead of refusing the input
+    spec = ConeSpec(2, 2)
+    f = Polynomial.monomial((-1, 0, 0, 0), 1, spec.variables)
+    for a in range(1, spec.n + 1):
+        with pytest.raises(ExactnessError):
+            fundamental_R(a, f, spec)
 
 
 def test_commutator_on_x1x3():

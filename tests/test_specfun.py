@@ -10,6 +10,7 @@ from minrep import specfun
 from minrep.algebra import ExactScalar, Polynomial, gamma_exact, one_minus_t_power, series_expand
 from minrep.bessel import itilde, ktilde
 from minrep.specfun import (
+    _bessel_exp_coeffs,
     _elementary_rows,
     _lambda_generating_table,
     _lambda_prefactors,
@@ -186,6 +187,28 @@ def test_mano_exact_matches_four_factor_series():
                     math.factorial(j + mu), 2**mu * math.factorial(j + (mu + 1) // 2 - 1)
                 )
                 assert mano_exact(mu, ell, j) == series.coefficient(j) * ExactScalar(pref)
+
+
+def _bessel_exp_double_sum(mu, order):
+    # c_m = sum_{2k <= m} (-1/2)^{m-2k}/(m-2k)! / (16^k k! Gamma(mu/2+k+1)),
+    # the Cauchy product of the e^{-s/2} and It_{mu/2}(s/2) series
+    expo = [Fraction(1)]
+    for i in range(1, order + 1):
+        expo.append(expo[-1] * Fraction(-1, 2 * i))
+    ibes = [Fraction(1)]
+    for k in range(1, order // 2 + 1):
+        ibes.append(ibes[-1] * Fraction(2, 16 * k * (mu + 2 * k)))
+    inv_gamma = 1 / gamma_exact(Fraction(mu, 2) + 1)
+    return [
+        inv_gamma * sum(ibes[k] * expo[m - 2 * k] for k in range(m // 2 + 1))
+        for m in range(order + 1)
+    ]
+
+
+def test_bessel_exp_coeffs_kummer_matches_double_sum():
+    # c_m does not depend on the order, so order 40 covers every order <= 40
+    for mu in range(10):
+        assert _bessel_exp_coeffs(mu, 40) == _bessel_exp_double_sum(mu, 40)
 
 
 def test_mano_exact_validation():
