@@ -12,12 +12,8 @@ from .algebra import (
     ExactScalar,
     ExactnessError,
     Polynomial,
-    PowerSeries,
-    TruncationError,
     gamma_exact,
-    poly_arith,
     reduce_mod_quadric,
-    series_expand,
 )
 from .bessel import BesselOrder, itilde, jtilde, ktilde, ktilde_half_closed
 from .cone import ConeSpec
@@ -63,10 +59,8 @@ __all__ = [
     "LambdaParams",
     "ManoParams",
     "Polynomial",
-    "PowerSeries",
     "RadialFunction",
     "SingularPart",
-    "TruncationError",
     "apply_P",
     "apply_Rmuell",
     "apply_inversion",
@@ -89,9 +83,7 @@ __all__ = [
     "minimal_ktype",
     "norm_squared",
     "phi_eval",
-    "poly_arith",
     "reduce_mod_quadric",
-    "series_expand",
     "singular_part",
     "u_eval",
 ]

@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic and polynomial/series engines.
+"""Exact coefficient arithmetic and sparse polynomials.
 
 The coefficient ring is Q[sqrtpi, 1/sqrtpi]: an :class:`ExactScalar` is a
 finite sum  sum_g c_g * sqrtpi^g  with rational c_g and integer grade g.
@@ -8,10 +8,7 @@ structural equality.  Grade 2 means the symbol pi; it is kept symbolic.
 
 On top of the scalars sit sparse multivariate Laurent polynomials
 (:class:`Polynomial`, graded-lex term order with the last variable least
-significant) and truncated power series in t with polynomial coefficients
-(:class:`PowerSeries`).  Series arithmetic is exact up to the truncation
-order; any request for data beyond the order raises
-:class:`TruncationError` rather than silently truncating.
+significant) and their normal form modulo the cone's quadric.
 """
 
 from __future__ import annotations
@@ -27,19 +24,9 @@ __all__ = [
     "ExactScalar",
     "ExactnessError",
     "Polynomial",
-    "PowerSeries",
-    "TruncationError",
     "gamma_exact",
-    "one_minus_t_power",
-    "poly_arith",
     "reduce_mod_quadric",
-    "series_expand",
-    "tau_power",
 ]
-
-
-class TruncationError(ArithmeticError):
-    """A series operation asked for coefficients beyond the truncation order."""
 
 
 class ExactnessError(ValueError):
@@ -551,15 +538,6 @@ class Polynomial:
     __repr__ = __str__
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Exact polynomial addition or multiplication in canonical form."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}, expected 'add' or 'mul'")
-
-
 def _accumulate(terms: dict, exps: tuple, c) -> None:
     """terms[exps] += c; zero sums stay, the Polynomial constructor drops them."""
     s = terms.get(exps)
@@ -605,208 +583,3 @@ def reduce_mod_quadric(f: Polynomial, spec: ConeSpec) -> Polynomial:
         for e, cs in powers[k]:
             _accumulate(out, tuple(x + y for x, y in zip(rest, e)), c * cs)
     return Polynomial(spec.variables, out)
-
-
-class PowerSeries:
-    """Truncated power series in t with Polynomial coefficients.
-
-    coefficients[j] is the coefficient of t^j; arithmetic is exact up to
-    the truncation order.  Combining two series yields the smaller order.
-    """
-
-    __slots__ = ("order", "variables", "_coeffs")
-
-    def __init__(self, coeffs, order: int | None = None, variables=("x",)):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        if len(coeffs) > order + 1:
-            raise TruncationError(
-                f"{len(coeffs)} coefficients exceed truncation order {order}"
-            )
-        variables = tuple(variables)
-        full = []
-        for j in range(order + 1):
-            c = coeffs[j] if j < len(coeffs) else 0
-            if not isinstance(c, Polynomial):
-                c = Polynomial.constant(c, variables)
-            if c.variables != variables:
-                raise ValueError("coefficient variables do not match series")
-            full.append(c)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_coeffs", full)
-
-    @classmethod
-    def zero(cls, order: int, variables=("x",)) -> "PowerSeries":
-        return cls([], order=order, variables=variables)
-
-    @classmethod
-    def one(cls, order: int, variables=("x",)) -> "PowerSeries":
-        return cls([Polynomial.constant(1, variables)], order=order, variables=variables)
-
-    def coefficient(self, j: int) -> Polynomial:
-        if j < 0:
-            raise ValueError("negative series index")
-        if j > self.order:
-            raise TruncationError(
-                f"coefficient of t^{j} requested beyond truncation order {self.order}"
-            )
-        return self._coeffs[j]
-
-    def coefficients(self) -> list:
-        return list(self._coeffs)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        order = min(self.order, other.order)
-        return PowerSeries(
-            [self._coeffs[j] + other._coeffs[j] for j in range(order + 1)],
-            order=order,
-            variables=self.variables,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSeries(
-            [-c for c in self._coeffs], order=self.order, variables=self.variables
-        )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return PowerSeries(
-                [c * other for c in self._coeffs],
-                order=self.order,
-                variables=self.variables,
-            )
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.variables != other.variables:
-            raise ValueError("incompatible coefficient variables")
-        order = min(self.order, other.order)
-        zero = Polynomial(self.variables, {})
-        out = [zero] * (order + 1)
-        for i in range(min(self.order, order) + 1):
-            ci = self._coeffs[i]
-            if ci.is_zero:
-                continue
-            for j in range(min(other.order, order - i) + 1):
-                cj = other._coeffs[j]
-                if cj.is_zero:
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return PowerSeries(out, order=order, variables=self.variables)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, PowerSeries):
-            return other
-        if isinstance(other, (int, Fraction, ExactScalar, Polynomial)):
-            return PowerSeries([other], order=self.order, variables=self.variables)
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.variables == other.variables
-            and self._coeffs == other._coeffs
-        )
-
-    __hash__ = None
-
-    def __str__(self):
-        return " + ".join(
-            f"[{c}] t^{j}" for j, c in enumerate(self._coeffs) if not c.is_zero
-        ) or "0"
-
-    __repr__ = __str__
-
-
-def one_minus_t_power(e: int, order: int, variables=("x",)) -> PowerSeries:
-    """(1-t)^e as an exact series, e any integer."""
-    if not isinstance(e, int):
-        raise ExactnessError("exact binomial series needs an integer exponent")
-    coeffs = []
-    if e >= 0:
-        for i in range(order + 1):
-            coeffs.append(((-1) ** i) * math.comb(e, i) if i <= e else 0)
-    else:
-        d = -e
-        for i in range(order + 1):
-            coeffs.append(math.comb(d - 1 + i, i))
-    return PowerSeries(coeffs, order=order, variables=variables)
-
-
-def tau_power(n: int, order: int, variables=("x",)) -> PowerSeries:
-    """(t/(1-t))^n as an exact series, n >= 0."""
-    if n < 0:
-        raise ValueError("tau_power needs n >= 0")
-    if n > order:
-        return PowerSeries.zero(order, variables)
-    shifted = one_minus_t_power(-n, order - n, variables) if n else None
-    coeffs = [0] * n
-    if n == 0:
-        return PowerSeries.one(order, variables)
-    coeffs.extend(shifted.coefficients())
-    return PowerSeries(coeffs, order=order, variables=variables)
-
-
-def series_expand(kind: str, order: int, *, n=None, c=None, mu=None,
-                  variables=("x",)) -> PowerSeries:
-    """Exact expansions used by the generating-function calculus.
-
-    kind="binomial":    (1-t)^n for integer n (parameter n).
-    kind="exponential": exp(c*x*t/(1-t)) for rational c (parameter c).
-    kind="bessel_i":    the renormalized I-Bessel series evaluated at
-                        t*x/(2*(1-t)) for odd integer mu (parameter mu),
-                        i.e. sum_k (t*x/(4(1-t)))^{2k} / (k! Gamma(mu/2+k+1)).
-
-    Composition with t/(1-t) is done by exact series substitution; any
-    parameter outside the exact domain raises ExactnessError.
-    """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    variables = tuple(variables)
-    if kind == "binomial":
-        if not isinstance(n, int):
-            raise ExactnessError("binomial power needs an integer exponent n")
-        return one_minus_t_power(n, order, variables)
-    if kind == "exponential":
-        cf = _as_fraction(c)
-        x = Polynomial.variable(variables[0], variables)
-        out = PowerSeries.zero(order, variables)
-        fact = Fraction(1)
-        for k in range(order + 1):
-            if k:
-                fact *= k
-            coeff_poly = (x**k) * (cf**k / fact)
-            out = out + tau_power(k, order, variables) * coeff_poly
-        return out
-    if kind == "bessel_i":
-        if not isinstance(mu, int) or mu % 2 == 0 or mu < 1:
-            raise ExactnessError("exact I-Bessel series needs odd integer mu >= 1")
-        x = Polynomial.variable(variables[0], variables)
-        out = PowerSeries.zero(order, variables)
-        for k in range(order // 2 + 1):
-            g = gamma_exact(Fraction(mu, 2) + k + 1)
-            scale = ExactScalar(Fraction(1, 16**k * math.factorial(k))) / g
-            coeff_poly = (x ** (2 * k)) * scale
-            out = out + tau_power(2 * k, order, variables) * coeff_poly
-        return out
-    raise ValueError(f"unknown series kind {kind!r}")

@@ -42,6 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as sps
@@ -228,18 +229,10 @@ def ktilde_half_closed(ell: int) -> Polynomial:
     return Polynomial(("z",), terms)
 
 
-def _half_poly_coeffs(ell: int) -> list:
+@lru_cache(maxsize=None)
+def _half_poly_coeffs(ell: int) -> tuple:
     """(exponent, float coefficient) pairs of P_ell, cached."""
-    key = ell
-    got = _HALF_CACHE.get(key)
-    if got is None:
-        poly = ktilde_half_closed(ell)
-        got = [(e[0], float(c)) for e, c in sorted(poly.terms().items())]
-        _HALF_CACHE[key] = got
-    return got
-
-
-_HALF_CACHE: dict = {}
+    return tuple((e[0], float(c)) for e, c in sorted(ktilde_half_closed(ell).terms().items()))
 
 
 def _ktilde_half_value(ell: int, z: float) -> float:

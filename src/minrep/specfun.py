@@ -440,12 +440,14 @@ def lambda_eval(mu, nu, j: int, x: float, method: str = "auto") -> float:
 
     method="elementary" reads column x of the odd-nu rows of
     `_elementary_rows`; method="cauchy" reads it off `lambda_table`;
-    "auto" picks elementary when available.  Measured for odd mu <= 7,
-    j <= 40 and x in [0.5, 30], relative to max |Lam_{j-1..j+1}(x)|: for
-    nu in {-1, 1} (Laguerre rows) the routes agree to 1.2e-10; for nu >= 3
-    the Cauchy route stays within 4e-11 of the exact Mano polynomial, but
-    the elementary rows sum monomials of alternating sign and at j = 40,
-    x = 30 are off by more than the value itself.
+    "auto" picks elementary only for nu in {-1, 1} with odd mu >= 1, where
+    the rows come from the stable Laguerre recurrence, and Cauchy otherwise.
+    Measured for odd mu <= 7, j <= 40 and x in [0.5, 30], relative to
+    max |Lam_{j-1..j+1}(x)|: for nu in {-1, 1} the routes agree to 1.2e-10;
+    for nu >= 3 the Cauchy route stays within 4e-11 of the exact Mano
+    polynomial, but the elementary rows sum monomials of alternating sign
+    and at (mu, nu, j, x) = (3, 3, 40, 30) are off by 5.1e3 times that
+    envelope.
     """
     params = mu if isinstance(mu, LambdaParams) else LambdaParams(mu, nu, j)
     params.validate()
@@ -455,7 +457,7 @@ def lambda_eval(mu, nu, j: int, x: float, method: str = "auto") -> float:
     odd_nu = isinstance(nu, int) and nu % 2 == 1
     elementary_ok = odd_nu and isinstance(mu, int) and mu >= 1 and mu % 2 == 1
     if method == "auto":
-        method = "elementary" if elementary_ok else "cauchy"
+        method = "elementary" if elementary_ok and nu in (-1, 1) else "cauchy"
     if method == "elementary":
         if not elementary_ok:
             raise ValueError("elementary route needs odd integer nu and odd integer mu >= 1")
@@ -517,28 +519,40 @@ def _gl_panels(upper: float, panels: int, order: int = 32):
     return xs, ws
 
 
-def _quad_weighted_norm(values_fn, weight_exp: float, upper: float, tol: float) -> float:
-    """Integral of values_fn(x)^2 x^weight on (0, upper] by doubling GL panels."""
-    panels = 16
-    prev = None
-    while panels <= 256:
-        xs, ws = _gl_panels(upper, panels)
-        vals = values_fn(xs)
-        cur = float(np.sum(vals * vals * xs**weight_exp * ws))
-        if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-        panels *= 2
-    return prev
+def _lambda_norms(mu, nu, jmax: int) -> np.ndarray:
+    """||Lam_j^{mu,nu}||^2 under x^{mu+nu+1} dx for j <= jmax, closed form.
+
+    Lam_0 = Kt_{nu/2}(x)/Gamma(mu/2+1) and the Mellin integral of K_{nu/2}^2
+    give ||Lam_0||^2 = 2^nu sqrtpi Gamma((mu+nu+2)/2) Gamma((mu-nu+2)/2) /
+    (4 Gamma((mu+3)/2) Gamma(mu/2+1)); each later norm follows by the ratio
+    ||Lam_{j+1}||^2/||Lam_j||^2 = (2j+mu+1)(2j+mu+2-nu)(2j+mu+2+nu) /
+    (4 (j+1)(j+mu+1)(2j+mu+3)).  See Hilgert, Kobayashi, Mano and Moellers,
+    Ramanujan J. 26 (2011), for the family.
+    """
+    norm = (
+        2.0**nu * math.sqrt(math.pi) * math.gamma((mu + nu + 2) / 2)
+        * math.gamma((mu - nu + 2) / 2)
+        / (4.0 * math.gamma((mu + 3) / 2) * math.gamma(mu / 2 + 1))
+    )
+    out = np.empty(jmax + 1)
+    for j in range(jmax + 1):
+        out[j] = norm
+        norm *= (
+            (2 * j + mu + 1) * (2 * j + mu + 2 - nu) * (2 * j + mu + 2 + nu)
+            / (4 * (j + 1) * (j + mu + 1) * (2 * j + mu + 3))
+        )
+    return out
 
 
-def norm_squared(family: str, params, tol: float = 1e-10):
+def norm_squared(family: str, params):
     """Squared L^2 norm under the family's orthogonality weight.
 
-    family="mano":     ManoParams, weight x^{mu-2 ell} e^{-x} dx, exact.
-    family="laguerre": (j, mu),    weight x^{mu} e^{-x} dx, exact for
-                       integer mu >= 0, else adaptive quadrature.
-    family="lambda":   LambdaParams, weight x^{mu+nu+1} dx, numeric.
+    family="mano":     ManoParams, weight x^{mu-2 ell} e^{-x} dx, exact
+                       moments of the exact polynomial.
+    family="laguerre": (j, mu),    weight x^{mu} e^{-x} dx, Gamma(j+mu+1)/j!:
+                       an exact integer for integer mu >= 0, else a float.
+    family="lambda":   LambdaParams, weight x^{mu+nu+1} dx, the closed form
+                       of `_lambda_norms` as a float.
     """
     if family == "mano":
         p = params if isinstance(params, ManoParams) else ManoParams(*params)
@@ -551,32 +565,21 @@ def norm_squared(family: str, params, tol: float = 1e-10):
         return moment_inner_product(poly, poly, p.mu - 2 * p.ell)
     if family == "laguerre":
         j, mu = params
-        if isinstance(mu, int):
-            if mu < 0:
-                raise ValueError("laguerre orthogonality needs mu >= 0")
-            poly = laguerre(j, mu)
-            return moment_inner_product(poly, poly, mu)
-        mu_f = float(mu)
-        if mu_f <= -1:
+        if j < 0:
+            raise ValueError("index j must be >= 0")
+        if float(mu) <= -1:
             raise ValueError("laguerre orthogonality needs mu > -1")
-        coeffs = [(e[0], float(c)) for e, c in sorted(laguerre(j, Fraction(mu)).terms().items())]
-
-        def values(xs):
-            acc = np.zeros_like(xs)
-            for e, c in coeffs:
-                acc += c * xs**e
-            return acc * np.exp(-xs / 2.0)
-
-        return _quad_weighted_norm(values, mu_f, 80.0 + 4 * j, tol)
+        if isinstance(mu, int):
+            return ExactScalar(math.perm(j + mu, mu))
+        # Gamma(mu+1) prod_{i<=j} (i+mu)/i, no overflow of Gamma(j+mu+1) itself
+        norm = math.gamma(float(mu) + 1.0)
+        for i in range(1, j + 1):
+            norm *= (i + float(mu)) / i
+        return norm
     if family == "lambda":
         p = params if isinstance(params, LambdaParams) else LambdaParams(*params)
         p.validate_orthogonality()
-
-        def values(xs):
-            return lambda_table(p.mu, p.nu, p.j, xs)[p.j]
-
-        upper = 60.0 + 2.0 * p.j
-        return _quad_weighted_norm(values, p.mu + p.nu + 1, upper, max(tol, 1e-9))
+        return float(_lambda_norms(p.mu, p.nu, p.j)[p.j])
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -85,7 +85,8 @@ def suite_eigen(max_j: int = 10) -> list:
 
 
 def suite_orth() -> list:
-    """Exact Mano Gram diagonality and numeric Lambda Gram off-diagonals."""
+    """Exact Mano Gram diagonality; numeric Lambda Gram off-diagonals and
+    diagonal against the closed-form norms."""
     out = []
     for mu in (3, 5, 7):
         for ell in (0, 1):
@@ -115,6 +116,16 @@ def suite_orth() -> list:
                 f"lambda mu={mu},nu={nu}",
                 "Lambda Gram off-diagonals vanish under x^{mu+nu+1} dx",
                 rel,
+                1e-8,
+            )
+        )
+        norms = specfun._lambda_norms(mu, nu, 6)
+        out.append(
+            CheckResult(
+                "orth",
+                f"lambda norms mu={mu},nu={nu}",
+                "Lambda Gram diagonal equals the closed-form norms ||Lam_j||^2",
+                float(np.max(np.abs(np.diag(g) - norms) / norms)),
                 1e-8,
             )
         )

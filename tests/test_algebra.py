@@ -9,13 +9,8 @@ from minrep.algebra import (
     ExactScalar,
     ExactnessError,
     Polynomial,
-    PowerSeries,
-    TruncationError,
     gamma_exact,
-    one_minus_t_power,
-    poly_arith,
     reduce_mod_quadric,
-    series_expand,
 )
 from minrep.cone import ConeSpec
 
@@ -97,17 +92,19 @@ def test_exact_scalar_ring_axioms(a, b, c):
 def test_poly_arith_examples():
     x = Polynomial.variable("x")
     one = Polynomial.constant(1)
-    assert poly_arith(one + x, one - x, "mul") == one - x * x
+    assert (one + x) * (one - x) == one - x * x
     p = x * x * 3 + x - 7
-    assert poly_arith(p, Polynomial(("x",), {}), "add") == p
-    assert poly_arith(x + 2, x + 2, "mul") == x * x + 4 * x + 4
+    assert p + Polynomial(("x",), {}) == p
+    assert (x + 2) * (x + 2) == x * x + 4 * x + 4
 
 
 def test_poly_incompatible_variables():
     x = Polynomial.variable("x")
     y = Polynomial.variable("y", ("y",))
     with pytest.raises(ValueError):
-        poly_arith(x, y, "add")
+        x + y
+    with pytest.raises(ValueError):
+        x * y
 
 
 def test_leading_term_graded_lex():
@@ -175,48 +172,3 @@ def test_polynomial_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-
-
-# -- power series ------------------------------------------------------------
-
-
-def test_binomial_series_example():
-    s = series_expand("binomial", 3, n=-2)
-    assert [c.coefficient((0,)).as_fraction() for c in s.coefficients()] == [1, 2, 3, 4]
-
-
-def test_exponential_series_first_order():
-    s = series_expand("exponential", 3, c=Fraction(-1, 2))
-    x = Polynomial.variable("x")
-    assert s.coefficient(1) == x * Fraction(-1, 2)
-
-
-def test_truncation_is_an_error():
-    s = one_minus_t_power(-1, 2)
-    with pytest.raises(TruncationError):
-        s.coefficient(3)
-
-
-def test_exactness_errors():
-    with pytest.raises(ExactnessError):
-        series_expand("binomial", 3, n=0.5)
-    with pytest.raises(ExactnessError):
-        series_expand("bessel_i", 4, mu=2)  # even mu is off the exact path
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(rationals, min_size=1, max_size=4),
-    st.lists(rationals, min_size=1, max_size=4),
-)
-def test_series_mul_matches_polynomial_mul(a_coeffs, b_coeffs):
-    # univariate polynomials in t, multiplied as series with N >= deg(a)+deg(b)
-    order = len(a_coeffs) + len(b_coeffs)
-    sa = PowerSeries([Polynomial.constant(c) for c in a_coeffs], order=order)
-    sb = PowerSeries([Polynomial.constant(c) for c in b_coeffs], order=order)
-    prod = sa * sb
-    pa = Polynomial(("t",), {(i,): c for i, c in enumerate(a_coeffs)})
-    pb = Polynomial(("t",), {(i,): c for i, c in enumerate(b_coeffs)})
-    pc = pa * pb
-    for k in range(order + 1):
-        assert prod.coefficient(k).coefficient((0,)) == pc.coefficient((k,))

@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.special as sps
 
 from minrep import specfun
-from minrep.algebra import ExactScalar, Polynomial, gamma_exact, one_minus_t_power, series_expand
+from minrep.algebra import ExactScalar, Polynomial, gamma_exact
 from minrep.bessel import itilde, ktilde
 from minrep.specfun import (
     _bessel_exp_coeffs,
@@ -160,33 +160,46 @@ def test_mano_grade_and_denominator_invariant():
                     assert bound % frac.denominator == 0
 
 
-def _four_factor_series(mu, ell, order):
-    """G^{mu,ell} as the product of four exact truncated series, the
-    reference route: (1-t)^{-a} e^{-x tau/2} It_{mu/2}(x tau/2) K(t,x)."""
-    binom = one_minus_t_power(-(ell + (mu + 3) // 2), order)
-    expo = series_expand("exponential", order, c=Fraction(-1, 2))
-    ibes = series_expand("bessel_i", order, mu=mu)
+def _laguerre_explicit(n, mu):
+    """L_n^mu = sum_k (-1)^k C(n+mu, n-k) x^k / k!, integer mu >= 0."""
+    return Polynomial(
+        ("x",),
+        {(k,): Fraction((-1) ** k * math.comb(n + mu, n - k), math.factorial(k)) for k in range(n + 1)},
+    )
+
+
+def _mano_laguerre_closed_form(mu, ell, j):
+    """M_j^{mu,ell} in the L^(mu) basis, the reference route.
+
+    Expanding (1-t)^k in the four-factor generating function
+    G^{mu,ell} = sum_{k<=ell} b_k x^{ell-k} (1-t)^k G^{mu,0}, with
+    M_j^{mu,0} = L_j^mu, gives
+    M_j = sum_k b_k x^{ell-k} sum_{i<=min(k,j)} (-1)^i C(k,i) (P_j/P_{j-i}) L_{j-i}^mu,
+    b_k = (ell+k)!/(k!(ell-k)!), P_j = Gamma(j+mu+1)/(2^mu Gamma(j+(mu+1)/2));
+    for ell = -1 the single Laurent term L_j^mu / x.
+    """
     if ell == -1:
-        kfac = Polynomial.monomial((-1,), ExactScalar(1, grade=1))
-    else:
-        kfac = 0
-        for k in range(ell + 1):
-            c = Fraction(math.factorial(ell + k), math.factorial(k) * math.factorial(ell - k))
-            mono = Polynomial.monomial((ell - k,), ExactScalar(c, grade=1))
-            kfac = one_minus_t_power(ell + 1 + k, order) * mono + kfac
-    return binom * expo * ibes * kfac
+        return _laguerre_explicit(j, mu) * Polynomial(("x",), {(-1,): 1})
+
+    def P(n):
+        return Fraction(math.factorial(n + mu), 2**mu * math.factorial(n + (mu - 1) // 2))
+
+    out = Polynomial(("x",), {})
+    for k in range(ell + 1):
+        b = Fraction(math.factorial(ell + k), math.factorial(k) * math.factorial(ell - k))
+        for i in range(min(k, j) + 1):
+            c = b * (-1) ** i * math.comb(k, i) * P(j) / P(j - i)
+            out = out + _laguerre_explicit(j - i, mu) * Polynomial(("x",), {(ell - k,): c})
+    return out
 
 
 def test_mano_exact_matches_four_factor_series():
-    order = 12
+    # the reference is the L^(mu) closed form of the same four-factor
+    # generating function, built from the explicit Laguerre sum
     for mu in (1, 3, 5, 7, 9):
         for ell in (-1, 0, 1, 2, 3):
-            series = _four_factor_series(mu, ell, order)
-            for j in range(order + 1):
-                pref = Fraction(
-                    math.factorial(j + mu), 2**mu * math.factorial(j + (mu + 1) // 2 - 1)
-                )
-                assert mano_exact(mu, ell, j) == series.coefficient(j) * ExactScalar(pref)
+            for j in range(13):
+                assert mano_exact(mu, ell, j) == _mano_laguerre_closed_form(mu, ell, j)
 
 
 def _bessel_exp_double_sum(mu, order):
@@ -350,6 +363,20 @@ def test_lambda_eval_high_j_against_laguerre():
                 assert abs(lambda_eval(3, 1, j, x, method=method) - want(j, x)) <= tol * env
 
 
+def test_lambda_eval_auto_odd_nu_against_exact_mano():
+    # Lam_j^{mu,nu}(x) = r_j x^{-nu} e^{-x} M_j^{mu,ell}(2x), nu = 2 ell + 1, with
+    # M_j summed in Fractions and r_j = 2^mu Gamma(j+(mu+1)/2)/Gamma(j+mu+1)
+    # exact; at nu >= 3 the default route must not be the cancelling monomial sum
+    def exact(mu, nu, j, x):
+        r = Fraction(2**mu * math.factorial(j + (mu - 1) // 2), math.factorial(j + mu))
+        m = mano_exact(mu, (nu - 1) // 2, j).evaluate({"x": 2 * Fraction(x)}).as_fraction()
+        return float(r * m / Fraction(x) ** nu) * math.exp(-x)
+
+    for mu, nu, j, x in ((3, 3, 40, 30.0), (5, 5, 30, 20.0), (7, 3, 40, 12.5)):
+        env = max(abs(exact(mu, nu, i, x)) for i in (j - 1, j, j + 1))
+        assert abs(lambda_eval(mu, nu, j, x) - exact(mu, nu, j, x)) <= 1e-11 * env
+
+
 def test_lambda_table_short_tables_keep_radius_half():
     xs = np.array([0.7, 12.0, 45.0])
     for jmax in (4, 16):
@@ -467,6 +494,57 @@ def test_moment_norm_example():
 def test_laguerre_norm_bottom():
     for mu in (0, 1, 4):
         assert norm_squared("laguerre", (0, mu)) == ExactScalar(math.factorial(mu))
+
+
+def test_laguerre_norm_non_integer_mu_against_mpmath():
+    # (j, mu) = (0, 0.5) is where the old panel quadrature stopped at 5.9e-7
+    mp = pytest.importorskip("mpmath")
+    assert norm_squared("laguerre", (0, 0.5)) == pytest.approx(math.gamma(1.5), rel=1e-14)
+    with mp.workdps(20):
+        for mu in (0.5, 2.5):
+            for j in (0, 3, 7):
+                want = mp.quad(
+                    lambda x: mp.laguerre(j, mu, x) ** 2 * x**mu * mp.exp(-x), [0, mp.inf]
+                )
+                assert norm_squared("laguerre", (j, mu)) == pytest.approx(float(want), rel=1e-13)
+
+
+def test_lambda_norms_odd_nu_match_exact_mano_norms():
+    # ||Lam_j||^2 = r_j^2 ||M_j^{mu,ell}||^2 / 2^{mu-2 ell+1}, x = y/2 in the Mano weight
+    for mu, nu in ((1, 1), (3, 1), (5, 3), (7, 5), (9, 3), (3, -1)):
+        ell = (nu - 1) // 2
+        r = _lambda_prefactors(mu, 10)
+        for j in range(11):
+            want = r[j] ** 2 * float(norm_squared("mano", (mu, ell, j))) / 2 ** (mu - 2 * ell + 1)
+            assert norm_squared("lambda", (mu, nu, j)) == pytest.approx(want, rel=1e-14)
+
+
+def test_lambda_norms_even_nu_against_mpmath():
+    # Lam_0^{mu,nu} = Kt_{nu/2}(x) / Gamma(mu/2+1), Kt_a(x) = (x/2)^{-a} K_a(x)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        for mu, nu in ((2, 0), (2, 2), (4, 2)):
+            a = mp.mpf(nu) / 2
+
+            def integrand(x):
+                kt = (x / 2) ** (-a) * mp.besselk(a, x) / mp.gamma(mp.mpf(mu) / 2 + 1)
+                return kt**2 * x ** (mu + nu + 1)
+
+            want = mp.quad(integrand, [0, mp.inf])
+            assert norm_squared("lambda", (mu, nu, 0)) == pytest.approx(float(want), rel=1e-13)
+
+
+def test_mano_norm_ratio_exact():
+    # n_{j+1}/n_j = (j+mu+1)/(j+1) (2j+mu+2-nu)(2j+mu+2+nu) / ((2j+mu+1)(2j+mu+3)),
+    # nu = 2 ell + 1, the Mano form of the closed-form Lambda norm ratio
+    for mu, ell in ((9, 3), (11, 2), (3, -1), (1, 0), (7, 3)):
+        nu = 2 * ell + 1
+        norms = [norm_squared("mano", (mu, ell, j)).as_fraction() for j in range(9)]
+        for j in range(8):
+            want = Fraction(j + mu + 1, j + 1) * Fraction(
+                (2 * j + mu + 2 - nu) * (2 * j + mu + 2 + nu), (2 * j + mu + 1) * (2 * j + mu + 3)
+            )
+            assert norms[j + 1] / norms[j] == want
 
 
 def test_moment_inner_product_diverging_exponent():
